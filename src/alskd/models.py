@@ -10,6 +10,8 @@ parameter dtype, so tests may run the whole path in float64.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -18,44 +20,45 @@ _READOUT_INIT_SCALE = 0.1
 
 
 class _FlatParamModel:
-    """Shared flat-parameter bookkeeping: shapes, init, views."""
+    """Shared flat-parameter bookkeeping: shapes, init, views.
 
-    #: list of (name, shape) pairs, fixed per architecture
-    param_shapes: list[tuple[str, tuple[int, ...]]]
-    #: names of the logit-producing weights, given the smaller init scale
-    readout_names: tuple[str, ...] = ()
+    The layout, each parameter's (name, slice of the flat array, shape), and
+    the parameter count ``n_params`` are fixed at construction; ``views``
+    and ``init_params`` only read them.
+    """
 
-    @property
-    def n_params(self) -> int:
-        return sum(int(np.prod(shape)) for _, shape in self.param_shapes)
+    def __init__(self, param_shapes, readout_names: tuple[str, ...]):
+        #: (name, shape) pairs, fixed per architecture
+        self.param_shapes = tuple(param_shapes)
+        #: names of the logit-producing weights, given the smaller init scale
+        self.readout_names = readout_names
+        layout = []
+        offset = 0
+        for name, shape in self.param_shapes:
+            size = math.prod(shape)
+            layout.append((name, slice(offset, offset + size), shape))
+            offset += size
+        self._layout = tuple(layout)
+        self.n_params = offset
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Named reshaped views into the flat array (no copies)."""
         if flat.size != self.n_params:
             raise ValueError(f"expected {self.n_params} parameters, got {flat.size}")
-        out = {}
-        offset = 0
-        for name, shape in self.param_shapes:
-            size = int(np.prod(shape))
-            out[name] = flat[offset : offset + size].reshape(shape)
-            offset += size
-        return out
+        return {name: flat[span].reshape(shape) for name, span, shape in self._layout}
 
     def init_params(self, seed: int, dtype=np.float32) -> np.ndarray:
         """Zero biases, 1/sqrt(fan_in) weights, down-scaled readout."""
         rng = np.random.default_rng(seed)
         flat = np.empty(self.n_params, dtype=np.float64)
-        offset = 0
-        for name, shape in self.param_shapes:
-            size = int(np.prod(shape))
+        for name, span, shape in self._layout:
             if len(shape) == 1:
-                flat[offset : offset + size] = 0.0
+                flat[span] = 0.0
             else:
                 scale = 1.0 / np.sqrt(shape[-1])
                 if name in self.readout_names:
                     scale *= _READOUT_INIT_SCALE
-                flat[offset : offset + size] = rng.normal(0.0, scale, size)
-            offset += size
+                flat[span] = rng.normal(0.0, scale, span.stop - span.start)
         return flat.astype(dtype)
 
 
@@ -68,13 +71,12 @@ class MLPClassifier(_FlatParamModel):
         self.input_dim = input_dim
         self.hidden = hidden
         self.n_classes = n_classes
-        self.param_shapes = [
+        super().__init__([
             ("w1", (hidden, input_dim)),
             ("b1", (hidden,)),
             ("w2", (n_classes, hidden)),
             ("b2", (n_classes,)),
-        ]
-        self.readout_names = ("w2",)
+        ], readout_names=("w2",))
 
     def forward(self, params: np.ndarray, x: np.ndarray):
         """Logits of shape (n, C) in float64, plus the backward cache."""
@@ -116,15 +118,14 @@ class RecurrentTransducer(_FlatParamModel):
         self.embed = embed
         self.hidden = hidden
         self.n_classes = vocab
-        self.param_shapes = [
+        super().__init__([
             ("emb", (vocab, embed)),
             ("wx", (hidden, embed)),
             ("wh", (hidden, hidden)),
             ("bh", (hidden,)),
             ("wo", (vocab, hidden)),
             ("bo", (vocab,)),
-        ]
-        self.readout_names = ("wo",)
+        ], readout_names=("wo",))
 
     def forward(self, params: np.ndarray, tokens: np.ndarray):
         """Logits of shape (n, T, vocab) in float64, plus the backward cache."""

@@ -30,7 +30,7 @@ from .losses import (
     unigram_prior,
 )
 from .models import build_model
-from .probs import alpha_rows, softmax_rows
+from .probs import PROB_FLOOR, alpha_rows, softmax_rows
 from .registry import CheckpointRegistry, TeacherHandle, evaluate_g
 
 METHODS = (
@@ -360,7 +360,7 @@ def evaluate(model, params: np.ndarray, dataset) -> EvalResult:
     picked = probs[np.arange(y.size), y]
     return EvalResult(
         accuracy=float((pred == y).mean()),
-        mean_nll=float(-np.log(np.maximum(picked, 1e-12)).mean()),
+        mean_nll=float(-np.log(np.maximum(picked, PROB_FLOOR)).mean()),
         confidences=probs.max(axis=-1),
         corrects=pred == y,
     )

@@ -1,9 +1,46 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alskd.metrics import accuracy_score, mean_nll, mini_bleu
+
+
+def counter_bleu(hypotheses, references, max_n=4):
+    """Reference corpus BLEU with a Counter of n-gram tuples per sentence."""
+    matched = np.zeros(max_n)
+    total = np.zeros(max_n)
+    hyp_len = 0
+    ref_len = 0
+    for hyp, ref in zip(hypotheses, references):
+        hyp = list(hyp)
+        ref = list(ref)
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        for n in range(1, max_n + 1):
+            counts = Counter(tuple(hyp[i : i + n]) for i in range(len(hyp) - n + 1))
+            ref_counts = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
+            matched[n - 1] += sum(min(c, ref_counts[g]) for g, c in counts.items())
+            total[n - 1] += sum(counts.values())
+
+    realized = total > 0
+    if not realized.any() or np.any(matched[realized] == 0):
+        return 0.0
+    log_precisions = np.log(matched[realized] / total[realized])
+    bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / max(hyp_len, 1))
+    return float(bp * math.exp(log_precisions.mean()))
+
+
+@st.composite
+def corpora(draw):
+    """Sentence pairs over a small int or str alphabet, so n-grams repeat and get clipped."""
+    token = draw(st.sampled_from([st.integers(-1, 3), st.sampled_from(["a", "b", "c", "ab"])]))
+    sentence = st.lists(token, max_size=8)
+    pairs = draw(st.lists(st.tuples(sentence, sentence), min_size=1, max_size=12))
+    return [h for h, _ in pairs], [r for _, r in pairs]
 
 
 class TestMiniBleu:
@@ -43,6 +80,16 @@ class TestMiniBleu:
         # pooled unigrams: 3 matches of 4; pooled bigrams: 1 of 2
         assert mini_bleu(hyps, refs, max_n=2) == pytest.approx(
             math.sqrt(0.75 * 0.5), abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(corpora(), st.integers(1, 6))
+    @example(([[]], [[]]), 4)
+    @example(([[], [1, 2]], [[1, 2], []]), 2)
+    @example(([["the", "the", "the", "the"]], [["the", "the", "cat"]]), 2)
+    @example(([[1, 2, 1, 2, 1]], [[2, 1, 2]]), 6)
+    def test_equals_counter_oracle(self, corpus, max_n):
+        hyps, refs = corpus
+        assert mini_bleu(hyps, refs, max_n=max_n) == counter_bleu(hyps, refs, max_n=max_n)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

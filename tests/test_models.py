@@ -30,7 +30,33 @@ def batch_ce_grad(model, params, inputs, targets, mask=None):
     return model.backward(params, cache, dlogits.reshape(logits.shape))
 
 
+def reference_layout(model):
+    """(name, offset, shape) of each parameter, walking the shape list in order."""
+    layout = []
+    offset = 0
+    for name, shape in model.param_shapes:
+        layout.append((name, offset, shape))
+        offset += int(np.prod(shape))
+    return layout, offset
+
+
+LAYOUT_MODELS = [MLPClassifier(4, 3, 5), RecurrentTransducer(vocab=6, embed=4, hidden=5)]
+
+
 class TestFlatParams:
+    @pytest.mark.parametrize("model", LAYOUT_MODELS, ids=lambda m: type(m).__name__)
+    def test_views_match_reference_layout(self, model):
+        layout, n_params = reference_layout(model)
+        assert model.n_params == n_params
+        flat = np.arange(n_params, dtype=np.float32)
+        views = model.views(flat)
+        assert list(views) == [name for name, _, _ in layout]
+        for name, offset, shape in layout:
+            # flat holds its own indices, so each view shows where it starts
+            expected = np.arange(offset, offset + int(np.prod(shape))).reshape(shape)
+            np.testing.assert_array_equal(views[name], expected)
+            assert np.shares_memory(views[name], flat)
+
     def test_views_cover_all_parameters(self):
         model = MLPClassifier(4, 3, 5)
         flat = np.arange(model.n_params, dtype=np.float32)
