@@ -26,15 +26,6 @@ class ConfigError(ValueError):
         self.field = field
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_optional_int(text: str):
     return None if text.strip() == "" else int(text)
 
@@ -77,7 +68,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "warmup_steps": (int, 300),
         "momentum": (float, 0.9),
         "seed": (int, 0),
-        "cache_teacher_logits": (_parse_bool, False),
     },
     "method": {
         "name": (_enum(*METHODS), None),
@@ -131,8 +121,7 @@ class RunConfig:
                 momentum=t["momentum"],
                 seed=seed if seed is not None else t["seed"],
                 fixed_alpha=me["fixed_alpha"], beta=me["beta"],
-                max_alpha=me["max_alpha"], max_epoch=me["max_epoch"],
-                cache_teacher_logits=t["cache_teacher_logits"])
+                max_alpha=me["max_alpha"], max_epoch=me["max_epoch"])
         except ValueError as exc:
             raise ConfigError(str(exc), field="training/method") from exc
 

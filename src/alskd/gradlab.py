@@ -7,6 +7,12 @@ matched target probabilities and a shared, less-confident teacher) the
 higher-entropy sample of a pair always receives the larger mean rescaling
 factor.
 
+The validator rejection-samples candidate pairs in fixed-size blocks of
+array draws; only the teacher's target mass enters the mean rescaling
+factor, so no teacher distribution is drawn. Its entropies are exactly
+rounded, like ``probs.entropy``, so the entropy ordering of each pair and
+its smoothing weights are the ones the scalar functions give.
+
 Undefined ratios (zero cross-entropy gradient component) are marked with
 NaN rather than infinity, and consumers count them separately.
 """
@@ -14,12 +20,14 @@ NaN rather than infinity, and consumers count them separately.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .losses import ce_loss, kd_loss
-from .probs import adaptive_alpha, check_prob_dist, entropy, softmax_with_temperature
+from .losses import _check_label, ce_loss, kd_loss
+from .probs import check_prob_dist, exact_entropy_rows, softmax_with_temperature
 
 
 class SamplingExhaustedError(RuntimeError):
@@ -58,9 +66,7 @@ def gradient_ratio(p_student, p_teacher, y, alpha: float) -> GradientReport:
     pt = check_prob_dist(p_teacher)
     if ps.size != pt.size:
         raise ValueError("student and teacher distributions differ in length")
-    idx = int(y)
-    if not (0 <= idx < ps.size):
-        raise ValueError(f"target label {y!r} out of range")
+    idx = _check_label(y, ps.size)
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
 
@@ -150,39 +156,76 @@ class PropositionReport:
 PROPOSITION_SLACK = 1e-10
 
 
-def _sample_pair(rng: np.random.Generator, class_count: int):
-    """Draw one candidate pair; returns None when a precondition fails.
+# Candidates drawn per block by the proposition sampler; bounds its working
+# set to a few arrays of BLOCK_SIZE x class_count floats.
+BLOCK_SIZE = 256
 
-    Construction: two simplex points, the second projected to match the
-    first's target probability; the teacher's target probability is drawn
-    strictly below the shared student value and is common to both samples,
-    matching the shared rescaling bracket the ordering claim compares
-    against. Off-target teacher mass is sampled freely per sample.
+
+class PairBlock(NamedTuple):
+    """The valid candidate pairs of one block, in draw order.
+
+    Row ``i`` holds two student distributions with the shared target
+    probability ``t[i]`` and strictly ordered entropies ``h_high[i] >
+    h_low[i]``, their smoothing weights, and the teacher's target mass
+    ``s[i] < t[i]``.
     """
-    target = int(rng.integers(class_count))
-    p_a = rng.dirichlet(np.ones(class_count))
-    p_b = rng.dirichlet(np.ones(class_count))
-    t = p_a[target]
-    if t <= 0.0 or t >= 1.0 or p_b[target] >= 1.0:
-        return None
-    p_b = p_b * ((1.0 - t) / (1.0 - p_b[target]))
-    p_b[target] = t
 
-    h_a = entropy(p_a)
-    h_b = entropy(p_b)
-    if h_a == h_b:
-        return None
-    p_high, p_low = (p_a, p_b) if h_a > h_b else (p_b, p_a)
+    target: np.ndarray
+    p_high: np.ndarray
+    p_low: np.ndarray
+    h_high: np.ndarray
+    h_low: np.ndarray
+    alpha_high: np.ndarray
+    alpha_low: np.ndarray
+    t: np.ndarray
+    s: np.ndarray
 
-    s = t * rng.uniform(0.0, 1.0)
-    if s >= t:
-        return None
-    teachers = []
-    for _ in range(2):
-        off = rng.dirichlet(np.ones(class_count - 1)) * (1.0 - s)
-        teacher = np.insert(off, target, s)
-        teachers.append(teacher)
-    return target, p_high, p_low, teachers[0], teachers[1], t, s
+
+def _sample_block(rng: np.random.Generator, class_count: int, size: int) -> PairBlock:
+    """Draw ``size`` candidate pairs and keep those meeting the preconditions.
+
+    Construction: two simplex points per candidate, the second projected
+    to match the first's target probability ``t``; the teacher's target
+    mass ``s = t * u`` lies strictly below ``t`` and is shared by both
+    samples, matching the shared rescaling bracket the ordering claim
+    compares against. The teachers' off-target mass never enters the
+    mean rescaling factor, so it is not drawn.
+    """
+    target = rng.integers(class_count, size=size)
+    p_a = rng.dirichlet(np.ones(class_count), size=size)
+    p_b = rng.dirichlet(np.ones(class_count), size=size)
+    u = rng.uniform(size=size)
+
+    rows = np.arange(size)
+    t = p_a[rows, target]
+    tb = p_b[rows, target]
+    s = t * u
+    keep = np.flatnonzero((t > 0.0) & (t < 1.0) & (tb < 1.0) & (s < t))
+    target, p_a, p_b, t, tb, s = (x[keep] for x in (target, p_a, p_b, t, tb, s))
+    p_b = p_b * ((1.0 - t) / (1.0 - tb))[:, np.newaxis]
+    p_b[np.arange(keep.size), target] = t
+
+    # Exactly-rounded entropies: a candidate pair is kept or dropped, and
+    # ordered, on the same values ``probs.entropy`` gives, bit for bit.
+    h_a = exact_entropy_rows(p_a)
+    h_b = exact_entropy_rows(p_b)
+    a_high = (h_a > h_b)[:, np.newaxis]
+    h_high = np.maximum(h_a, h_b)
+    h_low = np.minimum(h_a, h_b)
+    # The arithmetic of ``probs.adaptive_alpha``, on the same entropies.
+    log_c = math.log(class_count)
+    distinct = h_a != h_b
+    return PairBlock(*(x[distinct] for x in (
+        target,
+        np.where(a_high, p_a, p_b),
+        np.where(a_high, p_b, p_a),
+        h_high,
+        h_low,
+        np.clip(1.0 - h_high / log_c, 0.0, 1.0),
+        np.clip(1.0 - h_low / log_c, 0.0, 1.0),
+        t,
+        s,
+    )))
 
 
 def proposition1_validate(
@@ -198,6 +241,13 @@ def proposition1_validate(
     strictly less confident on the target, shared teacher target mass),
     derives each sample's smoothing weight from its own entropy, and counts
     violations of ``w_high > w_low`` beyond ``PROPOSITION_SLACK``.
+
+    Candidates are drawn in blocks of ``BLOCK_SIZE`` and filtered as
+    arrays; the first ``n_trials`` valid ones, in draw order, are the
+    trials. No more than ``max_attempts`` candidates are ever drawn, and
+    ``SamplingExhaustedError`` is raised if they hold fewer valid pairs.
+    Entropies are exactly rounded, so every trial's smoothing weights equal
+    ``adaptive_alpha`` of its two students, bit for bit.
     """
     if class_count < 3:
         raise ValueError(f"class_count must be >= 3, got {class_count!r}")
@@ -206,35 +256,28 @@ def proposition1_validate(
     rng = np.random.default_rng(seed)
 
     trials: list[PropositionTrial] = []
-    violations = 0
-    attempts = 0
+    drawn = 0
     while len(trials) < n_trials:
-        attempts += 1
-        if attempts > max_attempts:
+        size = min(BLOCK_SIZE, max_attempts - drawn)
+        if size <= 0:
             raise SamplingExhaustedError(
                 f"could not draw {n_trials} valid pairs in {max_attempts} attempts"
             )
-        drawn = _sample_pair(rng, class_count)
-        if drawn is None:
-            continue
-        target, p_high, p_low, _, _, t, s = drawn
-        a_high = adaptive_alpha(p_high)
-        a_low = adaptive_alpha(p_low)
-        bracket = float((t - s) / (t - 1.0))
+        block = _sample_block(rng, class_count, size)
+        drawn += size
+        take = slice(0, n_trials - len(trials))
+        t, s = block.t[take], block.s[take]
+        a_high, a_low = block.alpha_high[take], block.alpha_low[take]
+        bracket = (t - s) / (t - 1.0)
         w_high = (1.0 - a_high) + a_high * bracket
         w_low = (1.0 - a_low) + a_low * bracket
-        violation = not (w_high > w_low - PROPOSITION_SLACK)
-        violations += violation
-        trials.append(
-            PropositionTrial(
-                target=target,
-                alpha_high=a_high,
-                alpha_low=a_low,
-                w_high=w_high,
-                w_low=w_low,
-                violation=violation,
-            )
+        violation = ~(w_high > w_low - PROPOSITION_SLACK)
+        trials.extend(
+            PropositionTrial(*row)
+            for row in zip(block.target[take].tolist(), a_high.tolist(), a_low.tolist(),
+                           w_high.tolist(), w_low.tolist(), violation.tolist())
         )
+    violations = sum(trial.violation for trial in trials)
     return PropositionReport(valid_pairs=len(trials), violations=violations, trials=trials)
 
 

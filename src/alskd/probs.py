@@ -74,8 +74,18 @@ def entropy(p) -> float:
     the entries, bit for bit.
     """
     arr = check_prob_dist(p)
-    terms = arr * np.log(np.maximum(arr, PROB_FLOOR))
-    return -math.fsum(terms.tolist())
+    return float(exact_entropy_rows(arr[np.newaxis])[0])
+
+
+def exact_entropy_rows(probs: np.ndarray) -> np.ndarray:
+    """``entropy`` of each row of a 2-D array of distributions, unvalidated.
+
+    Each row's terms are summed with ``math.fsum``, so every value is
+    bit-identical to ``entropy`` of that row. For callers that built the
+    rows themselves and need that identity (the gradient lab's sampler).
+    """
+    terms = probs * np.log(np.maximum(probs, PROB_FLOOR))
+    return np.array([-math.fsum(row) for row in terms.tolist()], dtype=np.float64)
 
 
 def adaptive_alpha(p) -> float:

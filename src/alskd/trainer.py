@@ -93,7 +93,6 @@ class TrainConfig:
     beta: float = 0.78
     max_alpha: float = 0.7
     max_epoch: int | None = None
-    cache_teacher_logits: bool = False
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -159,7 +158,6 @@ def forward_backward(
     cfg: TrainConfig,
     mask: np.ndarray | None = None,
     teacher: TeacherHandle | None = None,
-    teacher_logits: np.ndarray | None = None,
     prior_probs: np.ndarray | None = None,
     alpha_override: np.ndarray | None = None,
 ) -> BatchStats:
@@ -181,7 +179,7 @@ def forward_backward(
     n_classes = probs.shape[-1]
 
     loss_mode = method
-    if method in SKD_METHODS and teacher is None and teacher_logits is None:
+    if method in SKD_METHODS and teacher is None:
         if epoch == 1:
             loss_mode = "base_ce"
         else:
@@ -193,9 +191,7 @@ def forward_backward(
         alphas = np.zeros(n_kept)
     else:
         if loss_mode in SKD_METHODS:
-            if teacher_logits is None:
-                teacher_logits = teacher.logits(inputs)
-            flat_teacher = teacher_logits.reshape(-1, n_classes)[keep]
+            flat_teacher = teacher.logits(inputs).reshape(-1, n_classes)[keep]
             prior_rows = softmax_rows(flat_teacher)
         elif loss_mode == "unigram_ls":
             if prior_probs is None:
@@ -285,9 +281,6 @@ def train(model_cfg: ModelConfig, cfg: TrainConfig, splits: DataSplits,
         teacher = None
         if cfg.method in SKD_METHODS and epoch > 1:
             teacher = registry.select_teacher(epoch)
-        cached_teacher_logits = None
-        if teacher is not None and cfg.cache_teacher_logits:
-            cached_teacher_logits = teacher.logits(inputs)
 
         losses = []
         grad_norms = []
@@ -299,8 +292,6 @@ def train(model_cfg: ModelConfig, cfg: TrainConfig, splits: DataSplits,
                 method=cfg.method, epoch=epoch, cfg=cfg,
                 mask=None if mask is None else mask[idx],
                 teacher=teacher,
-                teacher_logits=None if cached_teacher_logits is None
-                else cached_teacher_logits[idx],
                 prior_probs=prior_probs,
             )
             if not math.isfinite(stats.loss):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from alskd.gradlab import (
+    BLOCK_SIZE,
     PROPOSITION_SLACK,
     SamplingExhaustedError,
+    _sample_block,
     flip_region_census,
     gradient_ratio,
     proposition1_validate,
@@ -14,7 +16,7 @@ from alskd.gradlab import (
     write_proposition_csv,
 )
 from alskd.losses import ce_loss, kd_loss
-from alskd.probs import adaptive_alpha, softmax_with_temperature
+from alskd.probs import adaptive_alpha, entropy, softmax_with_temperature
 
 
 def region_draw(rng, n):
@@ -77,6 +79,11 @@ class TestGradientRatio:
                 expected_flip = (np.sign(g_kd[i]) != np.sign(g_ce[i])) and g_kd[i] != 0.0
                 got = report.flip_target if i == y else bool(report.flip_nontarget[i])
                 assert got == expected_flip
+
+    def test_non_integer_label_rejected(self):
+        p = np.array([0.5, 0.3, 0.2])
+        with pytest.raises(ValueError):
+            gradient_ratio(p, p.copy(), 1.7, 0.5)
 
     def test_region_flag(self):
         p_s = np.array([0.4, 0.3, 0.3])
@@ -164,8 +171,65 @@ class TestProposition:
             proposition1_validate(10, 2, 0)
 
     def test_exhausted_sampling(self):
-        with pytest.raises(SamplingExhaustedError):
-            proposition1_validate(10, 5, 0, max_attempts=0)
+        for max_attempts in (0, 9):
+            with pytest.raises(SamplingExhaustedError):
+                proposition1_validate(10, 5, 0, max_attempts=max_attempts)
+
+    @pytest.mark.parametrize("n_trials, max_attempts, exhausts", [
+        (10, 9, True), (2000, 1500, True), (2000, 10**6, False)])
+    def test_never_draws_more_than_max_attempts(self, monkeypatch, n_trials, max_attempts,
+                                                exhausts):
+        candidates = []
+        default_rng = np.random.default_rng
+
+        class CountingRng:
+            # one target label is drawn per candidate pair
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def integers(self, high, size):
+                candidates.append(size)
+                return self.rng.integers(high, size=size)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        if exhausts:
+            with pytest.raises(SamplingExhaustedError):
+                proposition1_validate(n_trials, 5, 0, max_attempts=max_attempts)
+            assert sum(candidates) == max_attempts
+        else:
+            report = proposition1_validate(n_trials, 5, 0, max_attempts=max_attempts)
+            assert report.valid_pairs == n_trials
+            assert sum(candidates) <= max_attempts
+
+    @pytest.mark.parametrize("class_count", range(3, 13))
+    def test_sampled_rows_meet_the_preconditions(self, class_count):
+        for seed in (0, 7):
+            block = _sample_block(np.random.default_rng(seed), class_count, BLOCK_SIZE)
+            n = block.target.size
+            assert BLOCK_SIZE // 2 < n <= BLOCK_SIZE
+            # the first block's valid rows are the first trials, in order
+            report = proposition1_validate(n, class_count, seed)
+            for i, trial in enumerate(report.trials):
+                y, t = block.target[i], block.t[i]
+                p_high, p_low = block.p_high[i], block.p_low[i]
+                assert trial.target == y
+                assert block.h_high[i] == entropy(p_high)
+                assert block.h_low[i] == entropy(p_low)
+                assert block.h_high[i] > block.h_low[i]
+                assert trial.alpha_high == block.alpha_high[i] == adaptive_alpha(p_high)
+                assert trial.alpha_low == block.alpha_low[i] == adaptive_alpha(p_low)
+                assert p_high[y] == p_low[y] == t
+                assert block.s[i] < t
+
+    def test_same_seed_same_trials(self):
+        # 1500 pairs span several blocks; a shorter run is a prefix of a longer one
+        first = proposition1_validate(1500, 7, 11)
+        assert proposition1_validate(1500, 7, 11).trials == first.trials
+        assert proposition1_validate(50, 7, 11).trials == first.trials[:50]
+        assert proposition1_validate(50, 7, 12).trials != first.trials[:50]
 
     def test_csv_artifact(self, tmp_path):
         report = proposition1_validate(50, 5, 0)

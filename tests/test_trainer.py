@@ -51,13 +51,6 @@ class TestDeterminism:
         r2 = train(cfg, tiny_train_cfg("adaptive_skd"), splits, tmp_path / "b")
         np.testing.assert_array_equal(r1.params, r2.params)
 
-    def test_teacher_logit_cache_changes_nothing(self, tmp_path):
-        cfg, splits = tiny_splits()
-        plain = train(cfg, tiny_train_cfg("adaptive_skd"), splits, tmp_path / "a")
-        cached = train(cfg, tiny_train_cfg("adaptive_skd", cache_teacher_logits=True),
-                       splits, tmp_path / "b")
-        np.testing.assert_array_equal(plain.params, cached.params)
-
 
 class TestTeacherLifecycle:
     def test_epoch_one_falls_back_to_hard_targets(self, tmp_path):
