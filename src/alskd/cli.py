@@ -24,13 +24,13 @@ from .config import ConfigError, RunConfig, load_config
 from .gradlab import (
     SamplingExhaustedError,
     flip_region_census,
-    gradient_ratio,
+    gradient_ratio_rows,
     proposition1_validate,
     write_flip_census_csv,
     write_proposition_csv,
 )
-from .losses import ce_loss, kd_loss
-from .probs import softmax_with_temperature
+from .losses import mixture_loss_rows
+from .probs import softmax_rows
 from .trainer import (
     DivergenceError,
     MissingTeacherError,
@@ -190,26 +190,31 @@ def cmd_gradlab_ratios(args) -> int:
         raise ConfigError("need classes >= 2 and draws >= 1")
     out_dir = resolve_output_dir(args.output, None, "runs/gradlab")
     rng = np.random.default_rng(args.seed)
+    n, c = args.draws, args.classes
+    # per draw: student logits, teacher logits, target, in this stream order
+    draws = [(rng.normal(size=c), rng.normal(size=c), rng.integers(c)) for _ in range(n)]
+    z_s, z_t, y = (np.array(column) for column in zip(*draws))
+    p_s, p_t = softmax_rows(np.vstack([z_s, z_t])).reshape(2, n, c)
+    # one batch: the cross-entropy rows (alpha 0), then the distillation rows
+    g_ce, g_kd = mixture_loss_rows(np.vstack([p_s, p_s]), np.tile(y, 2), np.vstack([p_t, p_t]),
+                                   np.repeat([0.0, args.alpha], n))[3].reshape(2, n, c)
+    report = gradient_ratio_rows(p_s, p_t, y, args.alpha)
+    is_target = np.arange(c) == y[:, np.newaxis]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        literal = np.where(g_ce != 0.0, g_kd / g_ce, np.nan)
+    closed = np.where(is_target, report.ratio_target[:, np.newaxis], report.ratio_nontarget)
+    flip = np.where(is_target, report.flip_target[:, np.newaxis], report.flip_nontarget)
+
     path = out_dir / "ratios.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["draw", "class_index", "is_target", "ce_grad", "kd_grad",
                          "literal_ratio", "closed_form_ratio", "flip"])
-        for draw in range(args.draws):
-            z_s = rng.normal(size=args.classes)
-            z_t = rng.normal(size=args.classes)
-            y = int(rng.integers(args.classes))
-            _, g_ce = ce_loss(z_s, y)
-            _, g_kd = kd_loss(z_s, z_t, y, args.alpha, temperature=1.0)
-            report = gradient_ratio(softmax_with_temperature(z_s),
-                                    softmax_with_temperature(z_t), y, args.alpha)
-            for i in range(args.classes):
-                literal = g_kd[i] / g_ce[i] if g_ce[i] != 0.0 else float("nan")
-                closed = report.ratio_target if i == y else report.ratio_nontarget[i]
-                flip = report.flip_target if i == y else bool(report.flip_nontarget[i])
-                writer.writerow([draw, i, str(i == y).lower(), repr(float(g_ce[i])),
-                                 repr(float(g_kd[i])), repr(float(literal)),
-                                 repr(float(closed)), str(flip).lower()])
+        columns = (is_target, g_ce, g_kd, literal, closed, flip)
+        for draw, row in enumerate(zip(*(col.tolist() for col in columns))):
+            for i, (target, ce, kd, lit, cf, fl) in enumerate(zip(*row)):
+                writer.writerow([draw, i, str(target).lower(), repr(ce), repr(kd),
+                                 repr(lit), repr(cf), str(fl).lower()])
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -83,10 +83,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
 }
 
-#: seeds used when an experiment is repeated across multiple runs
-DEFAULT_SEED_SET = (0, 3333, 5555)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Typed view of one parsed configuration file."""
@@ -217,13 +213,3 @@ def load_config(path, overrides=()) -> RunConfig:
     parsed_overrides = dict(parse_override(item) for item in overrides)
     return RunConfig(values=_parse_sections(parser, parsed_overrides))
 
-
-def loads_config(text: str, overrides=()) -> RunConfig:
-    """``load_config`` for an in-memory INI string."""
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
-    parsed_overrides = dict(parse_override(item) for item in overrides)
-    return RunConfig(values=_parse_sections(parser, parsed_overrides))

@@ -45,6 +45,23 @@ class DataSplits:
     test: ClassificationData | SequenceData
 
 
+def dataset_arrays(dataset):
+    """``(inputs, targets, mask)`` of a split; the mask is None for classification."""
+    if isinstance(dataset, ClassificationData):
+        return dataset.x, dataset.y, None
+    if isinstance(dataset, SequenceData):
+        return dataset.inputs, dataset.targets, dataset.mask
+    raise TypeError(f"unsupported dataset type {type(dataset).__name__}")
+
+
+def flat_positions(logits: np.ndarray, targets, mask=None):
+    """Logit rows and targets of the non-pad positions of (n, C) or (n, T, C)
+    logits, and the flat mask that picked them (all True if ``mask`` is None)."""
+    flat_targets = np.asarray(targets).reshape(-1)
+    keep = np.ones(flat_targets.shape, bool) if mask is None else np.asarray(mask, bool).reshape(-1)
+    return logits.reshape(-1, logits.shape[-1])[keep], flat_targets[keep], keep
+
+
 def _flip_labels(y: np.ndarray, n_classes: int, noise: float, rng: np.random.Generator) -> np.ndarray:
     """Replace a ``noise`` fraction of labels with a different random class."""
     if noise <= 0.0:

@@ -61,7 +61,10 @@ class GradientReport:
 
 
 def gradient_ratio(p_student, p_teacher, y, alpha: float) -> GradientReport:
-    """Closed-form gradient rescaling ratios for one (student, teacher) pair."""
+    """Closed-form gradient rescaling ratios for one (student, teacher) pair.
+
+    Validates its inputs and returns row 0 of ``gradient_ratio_rows``.
+    """
     ps = check_prob_dist(p_student)
     pt = check_prob_dist(p_teacher)
     if ps.size != pt.size:
@@ -69,51 +72,58 @@ def gradient_ratio(p_student, p_teacher, y, alpha: float) -> GradientReport:
     idx = _check_label(y, ps.size)
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    rows = gradient_ratio_rows(ps[np.newaxis], pt[np.newaxis], [idx], alpha)
+    # per-class fields stay arrays; the others become plain floats and bools
+    return GradientReport(**{name: row[0] if row.ndim > 1 else row[0].item()
+                             for name, row in vars(rows).items()})
 
-    denom = ps[idx] - 1.0
-    if denom == 0.0:
-        ratio_target = float("nan")
-    else:
-        ratio_target = (1.0 - alpha) - alpha * abs(ps[idx] - pt[idx]) / abs(denom)
 
-    ratio_nontarget = np.full(ps.size, np.nan)
-    nonzero = ps > 0.0
-    nonzero[idx] = False
-    ratio_nontarget[nonzero] = 1.0 - alpha * pt[nonzero] / ps[nonzero]
+def gradient_ratio_rows(p_student, p_teacher, targets, alphas) -> GradientReport:
+    """``gradient_ratio`` of each row of (n, C) student and teacher distributions.
 
-    flip_nontarget = np.zeros(ps.size, dtype=bool)
-    defined = ~np.isnan(ratio_nontarget)
-    flip_nontarget[defined] = ratio_nontarget[defined] < 0.0
-
+    Unvalidated; ``alphas`` is a scalar or one weight per row. Each field
+    of the report gains a leading row axis of length n.
+    """
+    ps = np.asarray(p_student, dtype=np.float64)
+    pt = np.asarray(p_teacher, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.int64)
+    n = ps.shape[0]
+    a = np.broadcast_to(np.asarray(alphas, dtype=np.float64), (n,))
+    rows = np.arange(n)
+    ps_y, pt_y = ps[rows, y], pt[rows, y]
+    # P(y) = 1 and P(i) = 0 divide by zero; those ratios are undefined (NaN)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio_target = (1.0 - a) - a * np.abs(ps_y - pt_y) / np.abs(ps_y - 1.0)
+        ratio_nontarget = 1.0 - a[:, np.newaxis] * pt / ps
+    ratio_target[ps_y == 1.0] = np.nan
+    ratio_nontarget[ps == 0.0] = np.nan
+    ratio_nontarget[rows, y] = np.nan
+    # NaN compares False, so undefined ratios never flag a flip
     return GradientReport(
-        ratio_target=float(ratio_target),
+        ratio_target=ratio_target,
         ratio_nontarget=ratio_nontarget,
-        flip_target=bool(not np.isnan(ratio_target) and ratio_target < 0.0),
-        flip_nontarget=flip_nontarget,
-        alpha=float(alpha),
-        teacher_less_confident=bool(pt[idx] <= ps[idx]),
+        flip_target=ratio_target < 0.0,
+        flip_nontarget=ratio_nontarget < 0.0,
+        alpha=a,
+        teacher_less_confident=pt_y <= ps_y,
     )
 
 
 def ratio_consistency_check(z_student, z_teacher, y, alpha: float, atol: float = 1e-9) -> bool:
     """Check the closed-form ratios against the literal gradient quotient.
 
-    Computes the cross-entropy and distillation (temperature 1) gradients
-    through the actual loss functions and divides them componentwise; a
-    True result means every defined closed-form ratio matches that literal
-    quotient within ``atol``. Components with a zero cross-entropy gradient
-    are skipped, as is the target component when the teacher is more
-    confident than the student there (the absolute-value target form is an
-    identity only in the less-confident-teacher regime).
+    Computes the cross-entropy and distillation gradients through the
+    actual loss functions and divides them componentwise; a True result
+    means every defined closed-form ratio matches that literal quotient
+    within ``atol``. Components with a zero cross-entropy gradient are
+    skipped, as is the target component when the teacher is more confident
+    than the student there (the absolute-value target form is an identity
+    only in the less-confident-teacher regime).
     """
     _, g_ce = ce_loss(z_student, y)
-    _, g_kd = kd_loss(z_student, z_teacher, y, alpha, temperature=1.0)
-    report = gradient_ratio(
-        softmax_with_temperature(z_student),
-        softmax_with_temperature(z_teacher),
-        y,
-        alpha,
-    )
+    _, g_kd = kd_loss(z_student, z_teacher, y, alpha)
+    report = gradient_ratio(softmax_with_temperature(z_student),
+                            softmax_with_temperature(z_teacher), y, alpha)
     idx = int(y)
     for i in range(g_ce.size):
         if g_ce[i] == 0.0:

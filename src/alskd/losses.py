@@ -16,34 +16,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probs import (
-    PROB_FLOOR,
-    adaptive_alpha,
-    check_prob_dist,
-    softmax_with_temperature,
-)
+from .probs import PROB_FLOOR, adaptive_alpha, check_prob_dist, softmax_with_temperature
 
-PRIOR_KINDS = ("uniform", "unigram", "teacher")
+PRIOR_KINDS = ("uniform", "unigram")
 
 
 @dataclass(frozen=True)
 class PriorDistribution:
-    """A prior label distribution used to soften one-hot targets.
-
-    ``uniform`` and ``unigram`` priors are fixed vectors; the ``teacher``
-    kind marks distributions produced by a checkpoint forward pass and is
-    rejected by the static label-smoothing loss (use the distillation
-    losses, which take teacher logits directly).
-    """
+    """A fixed prior label distribution used to soften one-hot targets."""
 
     kind: str
-    probs: np.ndarray | None = None
+    probs: np.ndarray
 
     def __post_init__(self):
         if self.kind not in PRIOR_KINDS:
             raise ValueError(f"unknown prior kind {self.kind!r}, expected one of {PRIOR_KINDS}")
-        if self.probs is not None:
-            object.__setattr__(self, "probs", check_prob_dist(self.probs))
+        object.__setattr__(self, "probs", check_prob_dist(self.probs))
 
 
 def uniform_prior(n_classes: int) -> PriorDistribution:
@@ -74,7 +62,8 @@ class LossBreakdown:
 
     Invariant: ``total == (1 - alpha_used) * hard_term + alpha_used * teacher_term``.
     For losses without a teacher mixture (plain cross entropy, confidence
-    penalty) ``alpha_used`` is 0 and ``hard_term`` carries the whole loss.
+    penalty) ``alpha_used`` is 0, ``teacher_term`` is 0 and ``hard_term``
+    carries the whole loss.
     """
 
     total: float
@@ -90,98 +79,61 @@ def _check_label(y: int, n_classes: int) -> int:
     return idx
 
 
-def _log_probs(p: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(p, PROB_FLOOR))
+def _mixture_row(z, y, prior: np.ndarray | None, alpha: float | None = None
+                 ) -> tuple[LossBreakdown, np.ndarray]:
+    """One sample through ``mixture_loss_rows``, as a breakdown and gradient.
+
+    Validates the logits ``z`` and the label ``y``. A None ``prior`` is all
+    zeros; a None ``alpha`` is ``adaptive_alpha`` of the student.
+    """
+    p = softmax_with_temperature(z)
+    idx = _check_label(y, p.size)
+    q = np.zeros(p.size) if prior is None else prior
+    if q.size != p.size:
+        raise ValueError("prior length does not match the class count")
+    a = adaptive_alpha(p) if alpha is None else alpha
+    hard, teacher, total, grad = mixture_loss_rows(p[np.newaxis], [idx], q, a)
+    breakdown = LossBreakdown(total=float(total[0]), hard_term=float(hard[0]),
+                              teacher_term=float(teacher[0]), alpha_used=float(a))
+    return breakdown, grad[0]
 
 
 def ce_loss(z, y) -> tuple[LossBreakdown, np.ndarray]:
-    """Hard-target cross entropy ``-ln P(y)`` and its logit gradient ``P - y``."""
-    p = softmax_with_temperature(z)
-    idx = _check_label(y, p.size)
-    hard = float(-_log_probs(p)[idx])
-    grad = p.copy()
-    grad[idx] -= 1.0
-    return LossBreakdown(total=hard, hard_term=hard, teacher_term=0.0, alpha_used=0.0), grad
+    """Hard-target cross entropy ``-ln P(y)`` and its logit gradient ``P - y``:
+    the mixture with weight 0 and an all-zero prior, so ``teacher_term`` is 0."""
+    return _mixture_row(z, y, None, 0.0)
 
 
 def label_smoothing_loss(z, y, prior: PriorDistribution, alpha: float) -> tuple[LossBreakdown, np.ndarray]:
-    """Cross entropy against the smoothed target ``(1-alpha) * onehot + alpha * q``.
-
-    Accepts uniform and unigram priors only; a teacher-kind prior is
-    rejected because distillation against a live teacher goes through
-    ``kd_loss`` / ``adaptive_skd_loss``.
-    """
-    if prior.kind == "teacher":
-        raise ValueError("teacher priors are handled by the distillation losses")
-    if prior.probs is None:
-        raise ValueError(f"{prior.kind} prior is missing its probability vector")
+    """Cross entropy against the smoothed target ``(1-alpha) * onehot + alpha * q``."""
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    p = softmax_with_temperature(z)
-    q = prior.probs
-    if q.size != p.size:
-        raise ValueError("prior length does not match the class count")
-    idx = _check_label(y, p.size)
-    logs = _log_probs(p)
-    hard = float(-logs[idx])
-    teacher = float(-np.dot(q, logs))
-    total = (1.0 - alpha) * hard + alpha * teacher
-    grad = p.copy()
-    grad[idx] -= 1.0 - alpha
-    grad -= alpha * q
-    return LossBreakdown(total=total, hard_term=hard, teacher_term=teacher, alpha_used=float(alpha)), grad
+    return _mixture_row(z, y, prior.probs, alpha)
 
 
-def kd_loss(z_student, z_teacher, y, alpha: float, temperature: float = 1.0) -> tuple[LossBreakdown, np.ndarray]:
+def kd_loss(z_student, z_teacher, y, alpha: float) -> tuple[LossBreakdown, np.ndarray]:
     """Distillation loss mixing hard cross entropy with a teacher cross entropy.
 
-    The teacher term is the cross entropy between the temperature-smoothed
-    teacher and student distributions; the hard term stays at temperature 1.
-    Teacher logits are treated as constants (no gradient flows to them).
-    At temperature 1 the gradient is
-    ``(1-alpha) * (P - onehot) + alpha * (P - P_teacher)``.
+    The teacher term is the cross entropy between the teacher and student
+    distributions. Teacher logits are treated as constants (no gradient
+    flows to them), so the gradient is ``P - (1-alpha) * onehot - alpha * P_teacher``.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    p = softmax_with_temperature(z_student)
-    idx = _check_label(y, p.size)
-    p_bar_s = p if temperature == 1.0 else softmax_with_temperature(z_student, temperature)
-    p_bar_t = softmax_with_temperature(z_teacher, temperature)
-    if p_bar_t.size != p.size:
-        raise ValueError("teacher logits length does not match the class count")
-    hard = float(-_log_probs(p)[idx])
-    teacher = float(-np.dot(p_bar_t, _log_probs(p_bar_s)))
-    total = (1.0 - alpha) * hard + alpha * teacher
-    grad = (1.0 - alpha) * p
-    grad[idx] -= 1.0 - alpha
-    grad += (alpha / temperature) * (p_bar_s - p_bar_t)
-    return LossBreakdown(total=total, hard_term=hard, teacher_term=teacher, alpha_used=float(alpha)), grad
+    return _mixture_row(z_student, y, softmax_with_temperature(z_teacher), alpha)
 
 
 def adaptive_skd_loss(z_student, z_teacher, y) -> tuple[LossBreakdown, np.ndarray]:
     """Self-distillation loss whose mixture weight adapts to prediction entropy.
 
-    The weight is ``1 - H(P) / ln|C|`` computed from the student's own
-    probabilities and recorded in ``alpha_used``. It is a detached scalar:
-    the returned gradient is exact for the loss with that weight held
-    constant, which is the training-time contract.
+    The weight is ``adaptive_alpha`` of the student's own probabilities,
+    ``1 - H(P) / ln|C|``, recorded in ``alpha_used``. It is a detached
+    scalar: the returned gradient is exact for the loss with that weight
+    held constant, which is the training-time contract.
     """
     if z_teacher is None:
         raise ValueError("adaptive self-distillation requires teacher logits")
-    p = softmax_with_temperature(z_student)
-    idx = _check_label(y, p.size)
-    p_t = softmax_with_temperature(z_teacher)
-    if p_t.size != p.size:
-        raise ValueError("teacher logits length does not match the class count")
-    a = adaptive_alpha(p)
-    logs = _log_probs(p)
-    hard = float(-logs[idx])
-    teacher = float(-np.dot(p_t, logs))
-    total = (1.0 - a) * hard + a * teacher
-    grad = p.copy()
-    grad[idx] -= 1.0 - a
-    grad -= a * p_t
-    return LossBreakdown(total=total, hard_term=hard, teacher_term=teacher, alpha_used=a), grad
+    return _mixture_row(z_student, y, softmax_with_temperature(z_teacher))
 
 
 def confidence_penalty_loss(z, y, beta: float = 0.78) -> tuple[LossBreakdown, np.ndarray]:
@@ -189,21 +141,14 @@ def confidence_penalty_loss(z, y, beta: float = 0.78) -> tuple[LossBreakdown, np
 
     The entropy bonus discourages peaked outputs. There is no teacher
     mixture here, so the whole value is reported as the hard term with
-    ``alpha_used = 0``. The gradient of the penalty through the softmax is
-    ``beta * P_i * (ln P_i + H(P))``, which vanishes at the uniform
-    distribution.
+    ``alpha_used = 0``. One row of ``confidence_penalty_rows``.
     """
     if beta < 0:
         raise ValueError(f"beta must be non-negative, got {beta!r}")
     p = softmax_with_temperature(z)
-    idx = _check_label(y, p.size)
-    logs = _log_probs(p)
-    h = float(-np.dot(p, logs))
-    total = float(-logs[idx]) - beta * h
-    grad = p.copy()
-    grad[idx] -= 1.0
-    grad += beta * p * (logs + h)
-    return LossBreakdown(total=total, hard_term=total, teacher_term=0.0, alpha_used=0.0), grad
+    total, grad = confidence_penalty_rows(p[np.newaxis], [_check_label(y, p.size)], beta)
+    value = float(total[0])
+    return LossBreakdown(total=value, hard_term=value, teacher_term=0.0, alpha_used=0.0), grad[0]
 
 
 def linear_alpha_schedule(epoch: int, max_alpha: float, max_epoch: int) -> float:
@@ -225,10 +170,10 @@ def mixture_loss_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized smoothed-target cross entropy over rows.
 
-    The batched counterpart of the per-sample losses above, used on the
-    trainer hot path. ``prior_rows`` may be a single prior vector (shared
-    across rows) or one row per sample; ``alphas`` a scalar or one weight
-    per row.
+    The one loss kernel: the trainer calls it on whole batches, and the
+    per-sample losses above are one-row views of it. ``prior_rows`` may
+    be a single prior vector (shared across rows) or one row per sample;
+    ``alphas`` a scalar or one weight per row.
 
     Returns ``(hard, teacher, total, grad)`` where the first three are
     per-row values and ``grad`` holds per-row logit gradients
@@ -252,7 +197,12 @@ def mixture_loss_rows(
 def confidence_penalty_rows(
     probs: np.ndarray, targets: np.ndarray, beta: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized confidence penalty: per-row totals and logit gradients."""
+    """Vectorized confidence penalty: per-row totals and logit gradients.
+
+    The gradient of the penalty through the softmax is
+    ``beta * P_i * (ln P_i + H(P))``, which vanishes at the uniform
+    distribution.
+    """
     p = np.asarray(probs, dtype=np.float64)
     y = np.asarray(targets, dtype=np.int64)
     rows = np.arange(p.shape[0])

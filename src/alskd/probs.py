@@ -108,9 +108,9 @@ def adaptive_alpha(p) -> float:
 # Row-wise variants used on already-valid softmax outputs (trainer hot path;
 # no per-row validation).
 
-def softmax_rows(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Softmax along the last axis of a 2-D float array."""
-    z = np.asarray(logits, dtype=np.float64) / temperature
+    z = np.asarray(logits, dtype=np.float64)
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)

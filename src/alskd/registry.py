@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import csv
 import struct
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import ClassificationData, SequenceData
+from .data import SequenceData, dataset_arrays, flat_positions
 from .metrics import accuracy_score, mean_nll, mini_bleu
 from .probs import softmax_rows
 
@@ -58,8 +57,7 @@ class TeacherHandle:
     """Read-only view of a stored checkpoint with forward-pass capability.
 
     The parameter array is frozen and the handle only ever runs forward
-    passes, so it can be shared freely across threads; it never touches
-    gradient state.
+    passes; it never touches gradient state.
     """
 
     epoch: int
@@ -75,14 +73,23 @@ class TeacherHandle:
 
 
 def write_checkpoint(path, params: np.ndarray, epoch: int, val_score: float, g_kind: str) -> None:
+    """Write one checkpoint file; it appears under ``path`` only once complete.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path``, so a failed or interrupted write never leaves a
+    truncated checkpoint under the final name.
+    """
     if g_kind not in _G_CODES:
         raise ValueError(f"unknown g_kind {g_kind!r}, expected one of {G_KINDS}")
     flat = np.ascontiguousarray(params, dtype=np.float32).ravel()
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, flat.size, int(epoch),
                           _G_CODES[g_kind], float(val_score))
-    with open(path, "wb") as fh:
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
         fh.write(header)
         fh.write(flat.astype("<f4").tobytes())
+    tmp.replace(path)
 
 
 def read_checkpoint(path) -> CheckpointRecord:
@@ -108,22 +115,16 @@ def read_checkpoint(path) -> CheckpointRecord:
 class CheckpointRegistry:
     """Directory of per-epoch checkpoints with an index sidecar.
 
-    Writes are serialized by a lock; reads are lock-free since files are
-    immutable once written. By default every epoch is retained; with
-    ``max_keep`` set, eviction keeps the best-scoring and the most recent
-    checkpoints and drops the oldest of the rest.
+    Every stored epoch is retained, and files are immutable once written.
     """
 
     INDEX_NAME = "index.csv"
 
-    def __init__(self, root, forward_fn=None, expected_param_count: int | None = None,
-                 max_keep: int | None = None):
+    def __init__(self, root, forward_fn=None, expected_param_count: int | None = None):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._forward_fn = forward_fn
         self._expected_param_count = expected_param_count
-        self._max_keep = max_keep
-        self._write_lock = threading.Lock()
         # epoch -> (file name, g_kind, val_score)
         self._entries: dict[int, tuple[str, str, float]] = {}
         self._load_index()
@@ -168,31 +169,14 @@ class CheckpointRegistry:
                 f"{self._expected_param_count}")
         if not np.isfinite(val_score):
             raise ValueError(f"val_score must be finite, got {val_score!r}")
-        with self._write_lock:
-            if epoch in self._entries:
-                raise DuplicateEpochError(f"epoch {epoch} already stored in {self.root}")
-            name = f"epoch_{epoch:05d}.ckpt"
-            path = self.root / name
-            write_checkpoint(path, params, epoch, val_score, g_kind)
-            self._entries[epoch] = (name, g_kind, float(val_score))
-            self._evict_locked()
-            self._write_index()
-            return path
-
-    def _evict_locked(self) -> None:
-        if self._max_keep is None:
-            return
-        while len(self._entries) > self._max_keep:
-            keep = {max(self._entries)}  # most recent
-            best = self._best_epoch(self._entries.keys())
-            if best is not None:
-                keep.add(best)
-            victims = [e for e in sorted(self._entries) if e not in keep]
-            if not victims:
-                break
-            victim = victims[0]
-            name, _, _ = self._entries.pop(victim)
-            (self.root / name).unlink(missing_ok=True)
+        if epoch in self._entries:
+            raise DuplicateEpochError(f"epoch {epoch} already stored in {self.root}")
+        name = f"epoch_{epoch:05d}.ckpt"
+        path = self.root / name
+        write_checkpoint(path, params, epoch, val_score, g_kind)
+        self._entries[epoch] = (name, g_kind, float(val_score))
+        self._write_index()
+        return path
 
     def _best_epoch(self, epochs) -> int | None:
         best = None
@@ -241,24 +225,14 @@ def evaluate_g(forward_fn, params: np.ndarray, dataset, g_kind: str) -> float:
     if len(dataset) == 0:
         raise ValueError("validation set must be non-empty")
 
-    if isinstance(dataset, ClassificationData):
-        if g_kind == "mini_bleu":
-            raise ValueError("mini_bleu requires a sequence task")
-        logits = forward_fn(params, dataset.x)
-        if g_kind == "accuracy":
-            return accuracy_score(logits.argmax(axis=-1), dataset.y)
-        return mean_nll(softmax_rows(logits), dataset.y)
-
-    if isinstance(dataset, SequenceData):
-        if g_kind == "mini_bleu":
-            hyps = greedy_decode(forward_fn, params, dataset)
-            refs = [dataset.targets[i, : int(n)].tolist() for i, n in enumerate(dataset.lengths)]
-            return mini_bleu(hyps, refs)
-        logits = forward_fn(params, dataset.inputs)
-        mask = dataset.mask
-        if g_kind == "accuracy":
-            return accuracy_score(logits.argmax(axis=-1), dataset.targets, mask=mask)
-        flat = logits.reshape(-1, logits.shape[-1])
-        return mean_nll(softmax_rows(flat), dataset.targets.ravel(), mask=mask.ravel())
-
-    raise TypeError(f"unsupported dataset type {type(dataset).__name__}")
+    if isinstance(dataset, SequenceData) and g_kind == "mini_bleu":
+        hyps = greedy_decode(forward_fn, params, dataset)
+        refs = [dataset.targets[i, : int(n)].tolist() for i, n in enumerate(dataset.lengths)]
+        return mini_bleu(hyps, refs)
+    if g_kind == "mini_bleu":
+        raise ValueError("mini_bleu requires a sequence task")
+    inputs, targets, mask = dataset_arrays(dataset)
+    logits, y, _ = flat_positions(forward_fn(params, inputs), targets, mask)
+    if g_kind == "accuracy":
+        return accuracy_score(logits.argmax(axis=-1), y)
+    return mean_nll(softmax_rows(logits), y)

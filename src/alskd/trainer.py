@@ -12,14 +12,15 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import (
-    ClassificationData,
     DataSplits,
-    SequenceData,
     batch_indices,
+    dataset_arrays,
+    flat_positions,
     make_copy_substitution,
     make_gaussian_mixture,
 )
@@ -33,19 +34,28 @@ from .models import build_model
 from .probs import PROB_FLOOR, alpha_rows, softmax_rows
 from .registry import CheckpointRegistry, TeacherHandle, evaluate_g
 
-METHODS = (
-    "base_ce",
-    "uniform_ls",
-    "unigram_ls",
-    "conf_penalty",
-    "adaptive_skd",
-    "fixed_alpha_skd",
-    "adaptive_alpha_uniform",
-    "linear_alpha_skd",
-)
+class Method(NamedTuple):
+    """Cross entropy against ``(1-alpha) * onehot + alpha * prior``, as data.
 
-#: methods that distill from a past checkpoint of the same model
-SKD_METHODS = frozenset({"adaptive_skd", "fixed_alpha_skd", "linear_alpha_skd"})
+    ``prior``: ``uniform``, ``unigram``, ``teacher`` (a past checkpoint of
+    the same model) or None (the confidence penalty, which has no mixture).
+    ``alpha``: ``zero``, ``fixed``, ``adaptive`` (per position) or ``linear``.
+    """
+
+    prior: str | None
+    alpha: str
+
+
+METHODS = {
+    "base_ce": Method("uniform", "zero"),
+    "uniform_ls": Method("uniform", "fixed"),
+    "unigram_ls": Method("unigram", "fixed"),
+    "conf_penalty": Method(None, "zero"),
+    "adaptive_skd": Method("teacher", "adaptive"),
+    "fixed_alpha_skd": Method("teacher", "fixed"),
+    "adaptive_alpha_uniform": Method("uniform", "adaptive"),
+    "linear_alpha_skd": Method("teacher", "linear"),
+}
 
 
 class DivergenceError(RuntimeError):
@@ -96,7 +106,7 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+            raise ValueError(f"unknown method {self.method!r}, expected one of {tuple(METHODS)}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
         if not (0.0 <= self.fixed_alpha <= 1.0 and 0.0 <= self.max_alpha <= 1.0):
@@ -135,18 +145,6 @@ class TrainResult:
     model: object = field(repr=False, default=None)
 
 
-def _flatten_batch(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray | None):
-    """Collapse (n, C) or (n, T, C) logits to masked (m, C) rows."""
-    c = logits.shape[-1]
-    flat_logits = logits.reshape(-1, c)
-    flat_targets = np.asarray(targets).reshape(-1)
-    if mask is None:
-        keep = np.ones(flat_targets.shape, dtype=bool)
-    else:
-        keep = np.asarray(mask, dtype=bool).reshape(-1)
-    return flat_logits, flat_targets, keep
-
-
 def forward_backward(
     model,
     params: np.ndarray,
@@ -170,30 +168,29 @@ def forward_backward(
     the weights act as constants in the update).
     """
     logits, cache = model.forward(params, inputs)
-    flat_logits, flat_targets, keep = _flatten_batch(logits, targets, mask)
-    n_kept = int(keep.sum())
+    rows, y, keep = flat_positions(logits, targets, mask)
+    n_kept = y.size
     if n_kept == 0:
         raise ValueError("batch has no non-pad positions")
-    probs = softmax_rows(flat_logits[keep])
-    y = flat_targets[keep]
+    probs = softmax_rows(rows)
     n_classes = probs.shape[-1]
 
     loss_mode = method
-    if method in SKD_METHODS and teacher is None:
+    if METHODS[method].prior == "teacher" and teacher is None:
         if epoch == 1:
             loss_mode = "base_ce"
         else:
             raise MissingTeacherError(
                 f"method {method!r} needs a teacher past epoch 1 (at epoch {epoch})")
+    prior, alpha_rule = METHODS[loss_mode]
 
-    if loss_mode == "conf_penalty":
+    if prior is None:
         totals, grad_rows = confidence_penalty_rows(probs, y, cfg.beta)
         alphas = np.zeros(n_kept)
     else:
-        if loss_mode in SKD_METHODS:
-            flat_teacher = teacher.logits(inputs).reshape(-1, n_classes)[keep]
-            prior_rows = softmax_rows(flat_teacher)
-        elif loss_mode == "unigram_ls":
+        if prior == "teacher":
+            prior_rows = softmax_rows(teacher.logits(inputs).reshape(-1, n_classes)[keep])
+        elif prior == "unigram":
             if prior_probs is None:
                 raise ValueError("unigram smoothing needs the estimated prior")
             prior_rows = prior_probs
@@ -202,21 +199,21 @@ def forward_backward(
 
         if alpha_override is not None:
             alphas = np.asarray(alpha_override, dtype=np.float64)
-        elif loss_mode in ("adaptive_skd", "adaptive_alpha_uniform"):
+        elif alpha_rule == "adaptive":
             alphas = alpha_rows(probs)
-        elif loss_mode in ("uniform_ls", "unigram_ls", "fixed_alpha_skd"):
+        elif alpha_rule == "fixed":
             alphas = np.full(n_kept, cfg.fixed_alpha)
-        elif loss_mode == "linear_alpha_skd":
+        elif alpha_rule == "linear":
             max_epoch = cfg.max_epoch if cfg.max_epoch is not None else cfg.epochs
             alphas = np.full(n_kept, linear_alpha_schedule(epoch, cfg.max_alpha, max_epoch))
-        else:  # base_ce (including the epoch-1 fallback)
+        else:
             alphas = np.zeros(n_kept)
         _, _, totals, grad_rows = mixture_loss_rows(probs, y, prior_rows, alphas)
 
     loss = float(totals.mean())
-    dlogits = np.zeros_like(flat_logits)
-    dlogits[keep] = grad_rows / n_kept
-    flat_grad = model.backward(params, cache, dlogits.reshape(logits.shape))
+    dlogits = np.zeros(logits.shape, dtype=logits.dtype)
+    dlogits.reshape(-1, n_classes)[keep] = grad_rows / n_kept
+    flat_grad = model.backward(params, cache, dlogits)
     return BatchStats(loss=loss, alphas=alphas, grad=flat_grad, loss_mode=loss_mode)
 
 
@@ -230,14 +227,6 @@ def learning_rate_at(step: int, base: float, warmup_steps: int) -> float:
     if warmup_steps <= 0:
         return base
     return base * min((step / warmup_steps) ** 2, math.sqrt(warmup_steps / step))
-
-
-def _dataset_arrays(dataset):
-    if isinstance(dataset, ClassificationData):
-        return dataset.x, dataset.y, None
-    if isinstance(dataset, SequenceData):
-        return dataset.inputs, dataset.targets, dataset.mask
-    raise TypeError(f"unsupported dataset type {type(dataset).__name__}")
 
 
 def train(model_cfg: ModelConfig, cfg: TrainConfig, splits: DataSplits,
@@ -265,11 +254,11 @@ def train(model_cfg: ModelConfig, cfg: TrainConfig, splits: DataSplits,
     registry = CheckpointRegistry(
         registry_dir, forward_fn=forward_fn, expected_param_count=model.n_params)
 
-    inputs, targets, mask = _dataset_arrays(splits.train)
+    inputs, targets, mask = dataset_arrays(splits.train)
     n = len(splits.train)
 
     prior_probs = None
-    if cfg.method == "unigram_ls":
+    if METHODS[cfg.method].prior == "unigram":
         labels = targets if mask is None else targets[mask]
         prior_probs = unigram_prior(labels, model.n_classes).probs
 
@@ -279,7 +268,7 @@ def train(model_cfg: ModelConfig, cfg: TrainConfig, splits: DataSplits,
 
     for epoch in range(1, cfg.epochs + 1):
         teacher = None
-        if cfg.method in SKD_METHODS and epoch > 1:
+        if METHODS[cfg.method].prior == "teacher" and epoch > 1:
             teacher = registry.select_teacher(epoch)
 
         losses = []
@@ -339,14 +328,9 @@ class EvalResult:
 
 def evaluate(model, params: np.ndarray, dataset) -> EvalResult:
     """Accuracy, mean NLL, and per-position (confidence, correct) pairs."""
-    inputs, targets, mask = _dataset_arrays(dataset)
-    logits = model.forward(params, inputs)[0]
-    flat_logits = logits.reshape(-1, logits.shape[-1])
-    flat_targets = np.asarray(targets).reshape(-1)
-    keep = (np.ones(flat_targets.shape, dtype=bool) if mask is None
-            else np.asarray(mask, dtype=bool).reshape(-1))
-    probs = softmax_rows(flat_logits[keep])
-    y = flat_targets[keep]
+    inputs, targets, mask = dataset_arrays(dataset)
+    rows, y, _ = flat_positions(model.forward(params, inputs)[0], targets, mask)
+    probs = softmax_rows(rows)
     pred = probs.argmax(axis=-1)
     picked = probs[np.arange(y.size), y]
     return EvalResult(

