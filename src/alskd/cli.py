@@ -30,7 +30,7 @@ from .gradlab import (
     write_proposition_csv,
 )
 from .losses import mixture_loss_rows
-from .probs import softmax_rows
+from .probs import floored_log, softmax_rows
 from .trainer import (
     DivergenceError,
     MissingTeacherError,
@@ -196,7 +196,8 @@ def cmd_gradlab_ratios(args) -> int:
     z_s, z_t, y = (np.array(column) for column in zip(*draws))
     p_s, p_t = softmax_rows(np.vstack([z_s, z_t])).reshape(2, n, c)
     # one batch: the cross-entropy rows (alpha 0), then the distillation rows
-    g_ce, g_kd = mixture_loss_rows(np.vstack([p_s, p_s]), np.tile(y, 2), np.vstack([p_t, p_t]),
+    probs = np.vstack([p_s, p_s])
+    g_ce, g_kd = mixture_loss_rows(probs, floored_log(probs), np.tile(y, 2), np.vstack([p_t, p_t]),
                                    np.repeat([0.0, args.alpha], n))[3].reshape(2, n, c)
     report = gradient_ratio_rows(p_s, p_t, y, args.alpha)
     is_target = np.arange(c) == y[:, np.newaxis]

@@ -56,10 +56,11 @@ def dataset_arrays(dataset):
 
 def flat_positions(logits: np.ndarray, targets, mask=None):
     """Logit rows and targets of the non-pad positions of (n, C) or (n, T, C)
-    logits, and the flat mask that picked them (all True if ``mask`` is None)."""
-    flat_targets = np.asarray(targets).reshape(-1)
-    keep = np.ones(flat_targets.shape, bool) if mask is None else np.asarray(mask, bool).reshape(-1)
-    return logits.reshape(-1, logits.shape[-1])[keep], flat_targets[keep], keep
+    logits, and the flat mask that picked them. Without a ``mask`` every
+    position counts: the rows are a view and the returned mask is None."""
+    rows, flat_targets = logits.reshape(-1, logits.shape[-1]), np.asarray(targets).reshape(-1)
+    keep = None if mask is None else np.asarray(mask, bool).reshape(-1)
+    return (rows, flat_targets, keep) if keep is None else (rows[keep], flat_targets[keep], keep)
 
 
 def _flip_labels(y: np.ndarray, n_classes: int, noise: float, rng: np.random.Generator) -> np.ndarray:

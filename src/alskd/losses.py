@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probs import PROB_FLOOR, adaptive_alpha, check_prob_dist, softmax_with_temperature
+from .probs import adaptive_alpha, check_prob_dist, floored_log, softmax_with_temperature
 
 PRIOR_KINDS = ("uniform", "unigram")
 
@@ -92,7 +92,8 @@ def _mixture_row(z, y, prior: np.ndarray | None, alpha: float | None = None
     if q.size != p.size:
         raise ValueError("prior length does not match the class count")
     a = adaptive_alpha(p) if alpha is None else alpha
-    hard, teacher, total, grad = mixture_loss_rows(p[np.newaxis], [idx], q, a)
+    row = p[np.newaxis]
+    hard, teacher, total, grad = mixture_loss_rows(row, floored_log(row), [idx], q, a)
     breakdown = LossBreakdown(total=float(total[0]), hard_term=float(hard[0]),
                               teacher_term=float(teacher[0]), alpha_used=float(a))
     return breakdown, grad[0]
@@ -145,8 +146,8 @@ def confidence_penalty_loss(z, y, beta: float = 0.78) -> tuple[LossBreakdown, np
     """
     if beta < 0:
         raise ValueError(f"beta must be non-negative, got {beta!r}")
-    p = softmax_with_temperature(z)
-    total, grad = confidence_penalty_rows(p[np.newaxis], [_check_label(y, p.size)], beta)
+    row = softmax_with_temperature(z)[np.newaxis]
+    total, grad = confidence_penalty_rows(row, floored_log(row), [_check_label(y, row.size)], beta)
     value = float(total[0])
     return LossBreakdown(total=value, hard_term=value, teacher_term=0.0, alpha_used=0.0), grad[0]
 
@@ -164,6 +165,7 @@ def linear_alpha_schedule(epoch: int, max_alpha: float, max_epoch: int) -> float
 
 def mixture_loss_rows(
     probs: np.ndarray,
+    logs: np.ndarray,
     targets: np.ndarray,
     prior_rows: np.ndarray,
     alphas,
@@ -173,7 +175,7 @@ def mixture_loss_rows(
     The one loss kernel: the trainer calls it on whole batches, and the
     per-sample losses above are one-row views of it. ``prior_rows`` may
     be a single prior vector (shared across rows) or one row per sample;
-    ``alphas`` a scalar or one weight per row.
+    ``alphas`` a scalar or one weight per row; ``logs`` is ``floored_log(probs)``.
 
     Returns ``(hard, teacher, total, grad)`` where the first three are
     per-row values and ``grad`` holds per-row logit gradients
@@ -181,13 +183,11 @@ def mixture_loss_rows(
     """
     p = np.asarray(probs, dtype=np.float64)
     y = np.asarray(targets, dtype=np.int64)
-    n, c = p.shape
-    q = np.broadcast_to(np.asarray(prior_rows, dtype=np.float64), (n, c))
-    a = np.broadcast_to(np.asarray(alphas, dtype=np.float64), (n,))
-    logs = np.log(np.maximum(p, PROB_FLOOR))
-    rows = np.arange(n)
+    q = np.asarray(prior_rows, dtype=np.float64)  # (C,) shared, or (n, C)
+    a = np.asarray(alphas, dtype=np.float64).reshape(-1)  # (1,) shared, or (n,)
+    rows = np.arange(len(p))
     hard = -logs[rows, y]
-    teacher = -np.sum(q * logs, axis=1)
+    teacher = -(q * logs).sum(axis=1)
     total = (1.0 - a) * hard + a * teacher
     grad = p - a[:, None] * q
     grad[rows, y] -= 1.0 - a
@@ -195,18 +195,17 @@ def mixture_loss_rows(
 
 
 def confidence_penalty_rows(
-    probs: np.ndarray, targets: np.ndarray, beta: float
+    probs: np.ndarray, logs: np.ndarray, targets: np.ndarray, beta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized confidence penalty: per-row totals and logit gradients.
 
     The gradient of the penalty through the softmax is
     ``beta * P_i * (ln P_i + H(P))``, which vanishes at the uniform
-    distribution.
+    distribution. ``logs`` is ``floored_log(probs)``.
     """
     p = np.asarray(probs, dtype=np.float64)
     y = np.asarray(targets, dtype=np.int64)
     rows = np.arange(p.shape[0])
-    logs = np.log(np.maximum(p, PROB_FLOOR))
     h = -np.sum(p * logs, axis=1)
     total = -logs[rows, y] - beta * h
     grad = p + beta * p * (logs + h[:, None])

@@ -6,6 +6,12 @@ finite-difference checks trivial. ``forward`` returns float64 logits plus a
 cache; ``backward`` consumes per-position logit gradients and returns a
 flat parameter gradient in the parameter dtype. Internals follow the
 parameter dtype, so tests may run the whole path in float64.
+
+The RNN stacks its non-recurrent matmuls over a leading time axis, which
+numpy runs as one gemm per step of exactly the per-step shape, so results
+stay bit-identical to a per-step loop. Never flatten the n*T rows into one
+gemm: BLAS may round a row differently with the row count (OpenBLAS does
+for (M, 32) @ (32, 32) between M <= 32 and M >= 64).
 """
 
 from __future__ import annotations
@@ -133,41 +139,46 @@ class RecurrentTransducer(_FlatParamModel):
         tok = np.asarray(tokens, dtype=np.int64)
         n, t_max = tok.shape
         emb = v["emb"][tok]  # (n, T, embed)
-        hs = np.zeros((n, t_max, self.hidden), dtype=params.dtype)
+        xw = np.moveaxis(emb, 1, 0) @ v["wx"].T  # (T, n, hidden)
+        hs = np.empty((n, t_max, self.hidden), dtype=params.dtype)
         h = np.zeros((n, self.hidden), dtype=params.dtype)
         for t in range(t_max):
-            h = np.tanh(emb[:, t] @ v["wx"].T + h @ v["wh"].T + v["bh"])
-            hs[:, t] = h
+            h = np.tanh(xw[t] + h @ v["wh"].T + v["bh"], out=hs[:, t])
         logits = hs @ v["wo"].T + v["bo"]
         return logits.astype(np.float64), (tok, emb, hs)
 
     def backward(self, params: np.ndarray, cache, dlogits: np.ndarray) -> np.ndarray:
         tok, emb, hs = cache
         v = self.views(params)
-        n, t_max, _ = hs.shape
         dl = np.asarray(dlogits, dtype=np.float64)
         hs64 = hs.astype(np.float64)
-        wo = v["wo"].astype(np.float64)
-        wh = v["wh"].astype(np.float64)
-        wx = v["wx"].astype(np.float64)
 
-        grad = np.zeros(self.n_params, dtype=np.float64)
+        grad = np.empty(self.n_params, dtype=np.float64)
         g = self.views(grad)
         g["wo"][:] = np.einsum("ntc,nth->ch", dl, hs64)
         g["bo"][:] = dl.sum(axis=(0, 1))
 
-        dh_next = np.zeros((n, self.hidden), dtype=np.float64)
-        demb = np.zeros((n, t_max, self.embed), dtype=np.float64)
-        for t in range(t_max - 1, -1, -1):
-            dh = dl[:, t] @ wo + dh_next
-            dz = dh * (1.0 - hs64[:, t] * hs64[:, t])
-            g["wx"] += dz.T @ emb[:, t].astype(np.float64)
-            h_prev = hs64[:, t - 1] if t > 0 else np.zeros((n, self.hidden))
-            g["wh"] += dz.T @ h_prev
-            g["bh"] += dz.sum(axis=0)
-            demb[:, t] = dz @ wx
-            dh_next = dz @ wh
-        np.add.at(g["emb"], tok, demb)
+        # (T, n, ...) stacks, last step first, so sums over steps run in loop order
+        dzs = np.moveaxis(dl[:, ::-1], 1, 0) @ v["wo"].astype(np.float64)
+        dtanh = hs64 * hs64
+        np.subtract(1.0, dtanh, out=dtanh)
+        wh, dh_next = v["wh"].astype(np.float64), np.zeros(dzs.shape[1:])
+        for k in range(len(dzs)):  # dzs[k] holds dl @ wo, then dz: only the recurrence is left
+            dz = np.add(dzs[k], dh_next, out=dzs[k])
+            dh_next = np.multiply(dz, dtanh[:, -1 - k], out=dz) @ wh
+        del dtanh  # freed before the stacks below, for a smaller peak heap
+        dz_t = dzs.transpose(0, 2, 1)
+        emb_rev = np.moveaxis(emb[:, ::-1], 1, 0).astype(np.float64)
+        g["wx"][:] = np.add.reduce(dz_t @ emb_rev, axis=0, initial=0.0)
+        # step 0's zero input state adds only +-0 (for finite dz) to a sum begun at +0.0
+        h_prev = np.moveaxis(hs64[:, -2::-1], 1, 0)
+        g["wh"][:] = np.add.reduce(dz_t[:-1] @ h_prev, axis=0, initial=0.0)
+        g["bh"][:] = np.add.reduce(dzs.sum(axis=1), axis=0, initial=0.0)
+        # embedding rows: one bin per (token, column), filled in position order
+        demb = np.moveaxis(dzs @ v["wx"].astype(np.float64), 0, 1)[:, ::-1]
+        bins = tok[..., np.newaxis] * self.embed + np.arange(self.embed)
+        g["emb"][:] = np.bincount(bins.ravel(), weights=demb.ravel(),
+                                  minlength=g["emb"].size).reshape(g["emb"].shape)
         return grad.astype(params.dtype)
 
 

@@ -84,7 +84,7 @@ def exact_entropy_rows(probs: np.ndarray) -> np.ndarray:
     bit-identical to ``entropy`` of that row. For callers that built the
     rows themselves and need that identity (the gradient lab's sampler).
     """
-    terms = probs * np.log(np.maximum(probs, PROB_FLOOR))
+    terms = probs * floored_log(probs)
     return np.array([-math.fsum(row) for row in terms.tolist()], dtype=np.float64)
 
 
@@ -116,14 +116,18 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def entropy_rows(probs: np.ndarray) -> np.ndarray:
-    """Entropy of each row of a 2-D probability array."""
-    p = np.asarray(probs, dtype=np.float64)
-    return -np.sum(p * np.log(np.maximum(p, PROB_FLOOR)), axis=-1)
+def floored_log(probs: np.ndarray) -> np.ndarray:
+    """``ln(max(p, PROB_FLOOR))`` elementwise: the logs every entropy and loss
+    term uses. Batched callers compute them once and pass them on."""
+    return np.log(np.maximum(np.asarray(probs, dtype=np.float64), PROB_FLOOR))
 
 
-def alpha_rows(probs: np.ndarray) -> np.ndarray:
-    """Adaptive smoothing weight of each row of a 2-D probability array."""
-    p = np.asarray(probs, dtype=np.float64)
-    alphas = 1.0 - entropy_rows(p) / np.log(p.shape[-1])
+def entropy_rows(probs: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """Entropy of each row of a 2-D probability array, given its ``floored_log``."""
+    return -np.sum(probs * logs, axis=-1)
+
+
+def alpha_rows(probs: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """Adaptive smoothing weight of each row, given the rows' ``floored_log``."""
+    alphas = 1.0 - entropy_rows(probs, logs) / np.log(probs.shape[-1])
     return np.clip(alphas, 0.0, 1.0)

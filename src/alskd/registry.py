@@ -76,8 +76,8 @@ def write_checkpoint(path, params: np.ndarray, epoch: int, val_score: float, g_k
     """Write one checkpoint file; it appears under ``path`` only once complete.
 
     The bytes go to a temporary file in the same directory, which then
-    replaces ``path``, so a failed or interrupted write never leaves a
-    truncated checkpoint under the final name.
+    replaces ``path``. A failed or interrupted write removes that file, so
+    it leaves no partial checkpoint behind under either name.
     """
     if g_kind not in _G_CODES:
         raise ValueError(f"unknown g_kind {g_kind!r}, expected one of {G_KINDS}")
@@ -86,10 +86,14 @@ def write_checkpoint(path, params: np.ndarray, epoch: int, val_score: float, g_k
                           _G_CODES[g_kind], float(val_score))
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(flat.astype("<f4").tobytes())
-    tmp.replace(path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            fh.write(flat.astype("<f4").tobytes())
+        tmp.replace(path)
+    except BaseException:  # interrupts too: never leave a partial file behind
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_checkpoint(path) -> CheckpointRecord:

@@ -31,7 +31,7 @@ from .losses import (
     unigram_prior,
 )
 from .models import build_model
-from .probs import PROB_FLOOR, alpha_rows, softmax_rows
+from .probs import alpha_rows, floored_log, softmax_rows
 from .registry import CheckpointRegistry, TeacherHandle, evaluate_g
 
 class Method(NamedTuple):
@@ -173,7 +173,7 @@ def forward_backward(
     if n_kept == 0:
         raise ValueError("batch has no non-pad positions")
     probs = softmax_rows(rows)
-    n_classes = probs.shape[-1]
+    logs = floored_log(probs)
 
     loss_mode = method
     if METHODS[method].prior == "teacher" and teacher is None:
@@ -183,38 +183,37 @@ def forward_backward(
             raise MissingTeacherError(
                 f"method {method!r} needs a teacher past epoch 1 (at epoch {epoch})")
     prior, alpha_rule = METHODS[loss_mode]
+    if alpha_override is not None and prior is not None:
+        alphas = np.asarray(alpha_override, dtype=np.float64)
+    elif alpha_rule == "adaptive":
+        alphas = alpha_rows(probs, logs)
+    elif alpha_rule == "fixed":
+        alphas = np.full(n_kept, cfg.fixed_alpha)
+    elif alpha_rule == "linear":
+        max_epoch = cfg.max_epoch if cfg.max_epoch is not None else cfg.epochs
+        alphas = np.full(n_kept, linear_alpha_schedule(epoch, cfg.max_alpha, max_epoch))
+    else:
+        alphas = np.zeros(n_kept)
 
     if prior is None:
-        totals, grad_rows = confidence_penalty_rows(probs, y, cfg.beta)
-        alphas = np.zeros(n_kept)
+        totals, grad_rows = confidence_penalty_rows(probs, logs, y, cfg.beta)
     else:
         if prior == "teacher":
-            prior_rows = softmax_rows(teacher.logits(inputs).reshape(-1, n_classes)[keep])
+            prior_rows = softmax_rows(flat_positions(teacher.logits(inputs), targets, mask)[0])
         elif prior == "unigram":
             if prior_probs is None:
                 raise ValueError("unigram smoothing needs the estimated prior")
             prior_rows = prior_probs
         else:
-            prior_rows = np.full(n_classes, 1.0 / n_classes)
+            prior_rows = np.full(model.n_classes, 1.0 / model.n_classes)
+        _, _, totals, grad_rows = mixture_loss_rows(probs, logs, y, prior_rows, alphas)
 
-        if alpha_override is not None:
-            alphas = np.asarray(alpha_override, dtype=np.float64)
-        elif alpha_rule == "adaptive":
-            alphas = alpha_rows(probs)
-        elif alpha_rule == "fixed":
-            alphas = np.full(n_kept, cfg.fixed_alpha)
-        elif alpha_rule == "linear":
-            max_epoch = cfg.max_epoch if cfg.max_epoch is not None else cfg.epochs
-            alphas = np.full(n_kept, linear_alpha_schedule(epoch, cfg.max_alpha, max_epoch))
-        else:
-            alphas = np.zeros(n_kept)
-        _, _, totals, grad_rows = mixture_loss_rows(probs, y, prior_rows, alphas)
-
-    loss = float(totals.mean())
-    dlogits = np.zeros(logits.shape, dtype=logits.dtype)
-    dlogits.reshape(-1, n_classes)[keep] = grad_rows / n_kept
-    flat_grad = model.backward(params, cache, dlogits)
-    return BatchStats(loss=loss, alphas=alphas, grad=flat_grad, loss_mode=loss_mode)
+    dlogits = grad_rows / n_kept
+    if keep is not None:  # pad positions get zero gradient
+        dlogits, kept = np.zeros_like(logits), dlogits
+        dlogits.reshape(keep.size, -1)[keep] = kept
+    flat_grad = model.backward(params, cache, dlogits.reshape(logits.shape))
+    return BatchStats(float(totals.mean()), alphas, flat_grad, loss_mode)
 
 
 def learning_rate_at(step: int, base: float, warmup_steps: int) -> float:
@@ -255,7 +254,6 @@ def train(model_cfg: ModelConfig, cfg: TrainConfig, splits: DataSplits,
         registry_dir, forward_fn=forward_fn, expected_param_count=model.n_params)
 
     inputs, targets, mask = dataset_arrays(splits.train)
-    n = len(splits.train)
 
     prior_probs = None
     if METHODS[cfg.method].prior == "unigram":
@@ -275,7 +273,7 @@ def train(model_cfg: ModelConfig, cfg: TrainConfig, splits: DataSplits,
         grad_norms = []
         alpha_chunks = []
         loss_mode = cfg.method
-        for batch_index, idx in enumerate(batch_indices(n, cfg.batch_size, batch_rng)):
+        for batch_index, idx in enumerate(batch_indices(len(inputs), cfg.batch_size, batch_rng)):
             stats = forward_backward(
                 model, params, inputs[idx], targets[idx],
                 method=cfg.method, epoch=epoch, cfg=cfg,
@@ -287,10 +285,12 @@ def train(model_cfg: ModelConfig, cfg: TrainConfig, splits: DataSplits,
                 raise DivergenceError(epoch, batch_index)
             step += 1
             lr = learning_rate_at(step, cfg.learning_rate, cfg.warmup_steps)
-            velocity = cfg.momentum * velocity - lr * stats.grad
+            velocity *= cfg.momentum
+            velocity -= lr * stats.grad
             params = params + velocity
             losses.append(stats.loss)
-            grad_norms.append(float(np.linalg.norm(stats.grad.astype(np.float64))))
+            g64 = stats.grad.astype(np.float64)
+            grad_norms.append(math.sqrt(g64.dot(g64)))
             alpha_chunks.append(stats.alphas)
             loss_mode = stats.loss_mode
 
@@ -335,7 +335,7 @@ def evaluate(model, params: np.ndarray, dataset) -> EvalResult:
     picked = probs[np.arange(y.size), y]
     return EvalResult(
         accuracy=float((pred == y).mean()),
-        mean_nll=float(-np.log(np.maximum(picked, PROB_FLOOR)).mean()),
+        mean_nll=float(-floored_log(picked).mean()),
         confidences=probs.max(axis=-1),
         corrects=pred == y,
     )

@@ -16,7 +16,7 @@ from alskd.losses import (
     uniform_prior,
     unigram_prior,
 )
-from alskd.probs import adaptive_alpha, softmax_rows, softmax_with_temperature
+from alskd.probs import adaptive_alpha, floored_log, softmax_rows, softmax_with_temperature
 
 
 def logits_for(probs):
@@ -270,7 +270,7 @@ class TestBatchedRows:
         y = rng.integers(0, 6, size=40)
         q = uniform_prior(6)
         probs = softmax_rows(z)
-        hard, teacher, total, grad = mixture_loss_rows(probs, y, q.probs, 0.15)
+        hard, teacher, total, grad = mixture_loss_rows(probs, floored_log(probs), y, q.probs, 0.15)
         for i in range(40):
             bd, g = label_smoothing_loss(z[i], int(y[i]), q, 0.15)
             assert total[i] == bd.total
@@ -287,7 +287,7 @@ class TestBatchedRows:
         # the per-sample loss takes its weight from the exactly rounded
         # ``adaptive_alpha``; fed the same weights, the rows are its values
         alphas = np.array([adaptive_alpha(p) for p in p_s])
-        _, _, total, grad = mixture_loss_rows(p_s, y, p_t, alphas)
+        _, _, total, grad = mixture_loss_rows(p_s, floored_log(p_s), y, p_t, alphas)
         for i in range(30):
             bd, g = adaptive_skd_loss(z_s[i], z_t[i], int(y[i]))
             assert bd.alpha_used == alphas[i]
@@ -299,8 +299,9 @@ class TestBatchedRows:
         z_t = rng.normal(size=(30, 7))
         y = rng.integers(0, 7, size=30)
         p_s = softmax_rows(z_s)
-        ce_hard, _, ce_total, ce_grad = mixture_loss_rows(p_s, y, np.zeros(7), 0.0)
-        hard, teacher, total, grad = mixture_loss_rows(p_s, y, softmax_rows(z_t), 0.35)
+        logs = floored_log(p_s)
+        ce_hard, _, ce_total, ce_grad = mixture_loss_rows(p_s, logs, y, np.zeros(7), 0.0)
+        hard, teacher, total, grad = mixture_loss_rows(p_s, logs, y, softmax_rows(z_t), 0.35)
         for i in range(30):
             bd, g = ce_loss(z_s[i], int(y[i]))
             assert (bd.total, bd.hard_term, bd.teacher_term) == (ce_total[i], ce_hard[i], 0.0)
@@ -312,7 +313,8 @@ class TestBatchedRows:
     def test_penalty_rows_match_per_sample(self, rng):
         z = rng.normal(size=(25, 4))
         y = rng.integers(0, 4, size=25)
-        total, grad = confidence_penalty_rows(softmax_rows(z), y, 0.78)
+        probs = softmax_rows(z)
+        total, grad = confidence_penalty_rows(probs, floored_log(probs), y, 0.78)
         for i in range(25):
             bd, g = confidence_penalty_loss(z[i], int(y[i]), 0.78)
             assert total[i] == bd.total

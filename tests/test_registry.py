@@ -126,6 +126,7 @@ class TestRegistry:
             registry.store(params, 2, 0.75, "accuracy")
         monkeypatch.undo()
         assert not (registry.root / "epoch_00002.ckpt").exists()
+        assert not list(registry.root.glob("*.tmp"))
         assert registry.index_path.read_bytes() == index
         assert registry.epochs() == [1]
 

@@ -3,9 +3,11 @@ import pytest
 from conftest import central_difference, rel_error
 
 from alskd.losses import label_smoothing_loss, uniform_prior
-from alskd.models import MLPClassifier
+from alskd.models import MLPClassifier, build_model
+from alskd.probs import alpha_rows, floored_log, softmax_rows
 from alskd.registry import TeacherHandle
 from alskd.trainer import (
+    METHODS,
     DivergenceError,
     MissingTeacherError,
     ModelConfig,
@@ -205,6 +207,31 @@ class TestForwardBackward:
                 cfg=tiny_train_cfg(method), teacher=handle, prior_probs=prior)
             assert np.isfinite(stats.loss)
             assert np.all((stats.alphas >= 0) & (stats.alphas <= 1))
+
+    @pytest.mark.parametrize("task", ["classification", "seq_transduction"])
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_no_mask_is_an_all_true_mask(self, method, task):
+        cfg, splits = tiny_splits(task=task)
+        model = build_model(task, input_dim=cfg.input_dim, hidden=cfg.hidden,
+                            n_classes=cfg.n_classes, vocab=cfg.vocab, embed=cfg.embed)
+        params = model.init_params(5)
+        teacher_params = model.init_params(6)
+        teacher_params.flags.writeable = False
+        handle = TeacherHandle(epoch=1, val_score=0.0, g_kind="accuracy", params=teacher_params,
+                               _forward_fn=lambda p, inputs: model.forward(p, inputs)[0])
+        x, y = (splits.train.x, splits.train.y) if task == "classification" else (
+            splits.train.inputs, splits.train.targets)
+        x, y = x[:24], y[:24]
+        kwargs = dict(method=method, epoch=2, cfg=tiny_train_cfg(method), teacher=handle,
+                      prior_probs=np.full(model.n_classes, 1.0 / model.n_classes))
+        bare = forward_backward(model, params, x, y, **kwargs)
+        masked = forward_backward(model, params, x, y, mask=np.ones(y.shape, bool), **kwargs)
+        assert bare.loss == masked.loss
+        assert bare.alphas.tobytes() == masked.alphas.tobytes()
+        assert bare.grad.tobytes() == masked.grad.tobytes()
+        if METHODS[method].alpha == "adaptive":
+            probs = softmax_rows(model.forward(params, x)[0].reshape(-1, model.n_classes))
+            assert bare.alphas.tobytes() == alpha_rows(probs, floored_log(probs)).tobytes()
 
 
 class TestSequenceTask:
