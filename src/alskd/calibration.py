@@ -11,11 +11,12 @@ such gap over non-empty bins, so ECE <= MCE always.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .artifacts import csv_text, replacing
 
 
 @dataclass(frozen=True)
@@ -96,16 +97,8 @@ def reliability_rows(report: CalibrationReport) -> list[str]:
     written with ``repr`` so parsing the rows back reproduces the report
     bins exactly.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(RELIABILITY_COLUMNS)
-    for b in report.bins:
-        writer.writerow([
-            repr(b.lower), repr(b.upper), b.count,
-            "" if b.mean_confidence is None else repr(b.mean_confidence),
-            "" if b.accuracy is None else repr(b.accuracy),
-        ])
-    return buf.getvalue().splitlines()
+    return csv_text({name: [getattr(b, name) for b in report.bins]
+                     for name in RELIABILITY_COLUMNS}).splitlines()
 
 
 def parse_reliability_rows(lines) -> list[CalibrationBin]:
@@ -128,5 +121,5 @@ def parse_reliability_rows(lines) -> list[CalibrationBin]:
 
 
 def write_reliability_csv(report: CalibrationReport, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with replacing(path) as fh:
         fh.write("\n".join(reliability_rows(report)) + "\n")

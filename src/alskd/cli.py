@@ -11,14 +11,13 @@ relocates the default output root (relative output paths resolve under it).
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .calibration import calibration_report, write_reliability_csv
 from .config import ConfigError, RunConfig, load_config
 from .gradlab import (
@@ -55,14 +54,6 @@ def resolve_output_dir(explicit: str | None, configured: str | None, default_nam
         chosen = Path(os.environ.get(OUTPUT_ROOT_ENV, ".")) / chosen
     chosen.mkdir(parents=True, exist_ok=True)
     return chosen
-
-
-def _write_manifest(out_dir: Path, payload: dict) -> Path:
-    path = out_dir / "manifest.json"
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
 
 
 def run_training(cfg: RunConfig, out_dir: Path, *, method: str | None = None,
@@ -111,7 +102,7 @@ def run_training(cfg: RunConfig, out_dir: Path, *, method: str | None = None,
             "checkpoints": [rel(p) for p in result.registry.checkpoint_files()],
         },
     }
-    _write_manifest(out_dir, manifest)
+    write_json(out_dir / "manifest.json", manifest)
     return manifest
 
 
@@ -153,16 +144,9 @@ def cmd_ablation(args) -> int:
         })
         run_dirs.append(str(run_dir.relative_to(out_dir)))
 
-    table_csv = out_dir / "ablation.csv"
-    with open(table_csv, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["method", "g_kind", "val_score", "test_accuracy", "test_ece"])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: repr(v) if isinstance(v, float) else v
-                             for k, v in row.items()})
-
-    _write_manifest(out_dir, {
+    write_csv(out_dir / "ablation.csv",
+              {name: [row[name] for row in rows] for name in rows[0]})
+    write_json(out_dir / "manifest.json", {
         "command": "ablation",
         "config": cfg.values,
         "seed": cfg.seed,
@@ -207,15 +191,16 @@ def cmd_gradlab_ratios(args) -> int:
     flip = np.where(is_target, report.flip_target[:, np.newaxis], report.flip_nontarget)
 
     path = out_dir / "ratios.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["draw", "class_index", "is_target", "ce_grad", "kd_grad",
-                         "literal_ratio", "closed_form_ratio", "flip"])
-        columns = (is_target, g_ce, g_kd, literal, closed, flip)
-        for draw, row in enumerate(zip(*(col.tolist() for col in columns))):
-            for i, (target, ce, kd, lit, cf, fl) in enumerate(zip(*row)):
-                writer.writerow([draw, i, str(target).lower(), repr(ce), repr(kd),
-                                 repr(lit), repr(cf), str(fl).lower()])
+    write_csv(path, {
+        "draw": np.repeat(np.arange(n), c),
+        "class_index": np.tile(np.arange(c), n),
+        "is_target": is_target.ravel(),
+        "ce_grad": g_ce.ravel(),
+        "kd_grad": g_kd.ravel(),
+        "literal_ratio": literal.ravel(),
+        "closed_form_ratio": closed.ravel(),
+        "flip": flip.ravel(),
+    })
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -83,7 +83,7 @@ def make_gaussian_mixture(
     n_test: int,
     label_noise: float,
     seed: int,
-    separation: float = 2.0,
+    separation: float,
 ) -> DataSplits:
     """Gaussian-mixture classification with label noise on the training split.
 

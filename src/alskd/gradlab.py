@@ -19,13 +19,13 @@ NaN rather than infinity, and consumers count them separately.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .artifacts import write_csv
 from .losses import _check_label, ce_loss, kd_loss
 from .probs import check_prob_dist, exact_entropy_rows, softmax_with_temperature
 
@@ -327,22 +327,19 @@ def flip_region_census(grid_resolution: int, alpha: float) -> FlipCensus:
 
 
 def write_flip_census_csv(census: FlipCensus, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p_student_target", "p_teacher_target", "flip_target"])
-        for ps, pt, flip in zip(census.p_student, census.p_teacher, census.flip):
-            writer.writerow([repr(float(ps)), repr(float(pt)), str(bool(flip)).lower()])
+    write_csv(path, {"p_student_target": census.p_student,
+                     "p_teacher_target": census.p_teacher,
+                     "flip_target": census.flip})
 
 
 def write_proposition_csv(report: PropositionReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["trial", "target", "alpha_high_entropy", "alpha_low_entropy",
-             "w_high_entropy", "w_low_entropy", "violation"]
-        )
-        for i, t in enumerate(report.trials):
-            writer.writerow(
-                [i, t.target, repr(t.alpha_high), repr(t.alpha_low),
-                 repr(t.w_high), repr(t.w_low), str(t.violation).lower()]
-            )
+    trials = report.trials
+    write_csv(path, {
+        "trial": range(len(trials)),
+        "target": [t.target for t in trials],
+        "alpha_high_entropy": [t.alpha_high for t in trials],
+        "alpha_low_entropy": [t.alpha_low for t in trials],
+        "w_high_entropy": [t.w_high for t in trials],
+        "w_low_entropy": [t.w_low for t in trials],
+        "violation": [t.violation for t in trials],
+    })

@@ -7,7 +7,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .probs import PROB_FLOOR
+from .probs import floored_log
 
 
 def mini_bleu(hypotheses: Sequence[Sequence], references: Sequence[Sequence], max_n: int = 4) -> float:
@@ -72,31 +72,16 @@ def mini_bleu(hypotheses: Sequence[Sequence], references: Sequence[Sequence], ma
     return float(bp * math.exp(log_precisions.mean()))
 
 
-def accuracy_score(predictions: np.ndarray, targets: np.ndarray, mask: np.ndarray | None = None) -> float:
-    """Fraction of correct predictions, optionally restricted by a mask."""
-    pred = np.asarray(predictions)
-    ref = np.asarray(targets)
-    correct = pred == ref
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if not mask.any():
-            raise ValueError("mask excludes every position")
-        correct = correct[mask]
+def accuracy_score(predictions: np.ndarray, targets: np.ndarray) -> float:
+    """Fraction of correct predictions."""
+    correct = np.asarray(predictions) == np.asarray(targets)
     if correct.size == 0:
         raise ValueError("no predictions to score")
     return float(correct.mean())
 
 
-def mean_nll(probs: np.ndarray, targets: np.ndarray, mask: np.ndarray | None = None) -> float:
+def mean_nll(probs: np.ndarray, targets: np.ndarray) -> float:
     """Mean negative log likelihood in nats of the target under each row."""
-    p = np.asarray(probs, dtype=np.float64)
     y = np.asarray(targets, dtype=np.int64).ravel()
-    p = p.reshape(-1, p.shape[-1])
-    picked = p[np.arange(y.size), y]
-    nll = -np.log(np.maximum(picked, PROB_FLOOR))
-    if mask is not None:
-        flat = np.asarray(mask, dtype=bool).ravel()
-        if not flat.any():
-            raise ValueError("mask excludes every position")
-        nll = nll[flat]
-    return float(nll.mean())
+    p = np.asarray(probs).reshape(y.size, -1)
+    return float(-floored_log(p[np.arange(y.size), y]).mean())

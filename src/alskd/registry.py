@@ -10,6 +10,9 @@ The self-teacher for epoch ``t`` is the stored checkpoint with the best
 validation score among epochs strictly before ``t``: highest score for
 score-like metrics (accuracy, mini_bleu), lowest for loss-like ones (nll),
 with ties broken toward the later epoch.
+
+Files are written through ``artifacts``; an epoch joins the registry only
+once the index that lists it is on disk.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import replacing, write_csv
 from .data import SequenceData, dataset_arrays, flat_positions
 from .metrics import accuracy_score, mean_nll, mini_bleu
 from .probs import softmax_rows
@@ -73,27 +77,15 @@ class TeacherHandle:
 
 
 def write_checkpoint(path, params: np.ndarray, epoch: int, val_score: float, g_kind: str) -> None:
-    """Write one checkpoint file; it appears under ``path`` only once complete.
-
-    The bytes go to a temporary file in the same directory, which then
-    replaces ``path``. A failed or interrupted write removes that file, so
-    it leaves no partial checkpoint behind under either name.
-    """
+    """Write one checkpoint file; it appears under ``path`` only once complete."""
     if g_kind not in _G_CODES:
         raise ValueError(f"unknown g_kind {g_kind!r}, expected one of {G_KINDS}")
     flat = np.ascontiguousarray(params, dtype=np.float32).ravel()
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, flat.size, int(epoch),
                           _G_CODES[g_kind], float(val_score))
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(header)
-            fh.write(flat.astype("<f4").tobytes())
-        tmp.replace(path)
-    except BaseException:  # interrupts too: never leave a partial file behind
-        tmp.unlink(missing_ok=True)
-        raise
+    with replacing(path, "wb") as fh:
+        fh.write(header)
+        fh.write(flat.astype("<f4").tobytes())
 
 
 def read_checkpoint(path) -> CheckpointRecord:
@@ -145,16 +137,6 @@ class CheckpointRegistry:
                 self._entries[int(row["epoch"])] = (
                     row["file"], row["g_kind"], float(row["val_score"]))
 
-    def _write_index(self) -> None:
-        tmp = self.index_path.with_suffix(".tmp")
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "file", "g_kind", "val_score"])
-            for epoch in sorted(self._entries):
-                name, g_kind, score = self._entries[epoch]
-                writer.writerow([epoch, name, g_kind, repr(score)])
-        tmp.replace(self.index_path)
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -178,8 +160,12 @@ class CheckpointRegistry:
         name = f"epoch_{epoch:05d}.ckpt"
         path = self.root / name
         write_checkpoint(path, params, epoch, val_score, g_kind)
-        self._entries[epoch] = (name, g_kind, float(val_score))
-        self._write_index()
+        entries = {**self._entries, epoch: (name, g_kind, float(val_score))}
+        epochs = sorted(entries)
+        names, kinds, scores = zip(*map(entries.get, epochs))
+        write_csv(self.index_path,
+                  {"epoch": epochs, "file": names, "g_kind": kinds, "val_score": scores})
+        self._entries = entries  # only once the index that lists the epoch is on disk
         return path
 
     def _best_epoch(self, epochs) -> int | None:

@@ -9,13 +9,13 @@ its teacher from the registry before the first batch.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from .artifacts import write_csv
 from .data import (
     DataSplits,
     batch_indices,
@@ -157,15 +157,11 @@ def forward_backward(
     mask: np.ndarray | None = None,
     teacher: TeacherHandle | None = None,
     prior_probs: np.ndarray | None = None,
-    alpha_override: np.ndarray | None = None,
 ) -> BatchStats:
     """One batch: dispatch to the configured loss and backprop to parameters.
 
     The analytic logit gradient of the loss is composed with the model's
-    layerwise chain rule; the batch reduction is the mean over non-pad
-    positions. ``alpha_override`` substitutes recorded per-position
-    smoothing weights for the adaptive computation (used to verify that
-    the weights act as constants in the update).
+    layerwise chain rule; the batch reduction is the mean over non-pad positions.
     """
     logits, cache = model.forward(params, inputs)
     rows, y, keep = flat_positions(logits, targets, mask)
@@ -183,9 +179,7 @@ def forward_backward(
             raise MissingTeacherError(
                 f"method {method!r} needs a teacher past epoch 1 (at epoch {epoch})")
     prior, alpha_rule = METHODS[loss_mode]
-    if alpha_override is not None and prior is not None:
-        alphas = np.asarray(alpha_override, dtype=np.float64)
-    elif alpha_rule == "adaptive":
+    if alpha_rule == "adaptive":
         alphas = alpha_rows(probs, logs)
     elif alpha_rule == "fixed":
         alphas = np.full(n_kept, cfg.fixed_alpha)
@@ -347,16 +341,8 @@ DIAGNOSTICS_COLUMNS = ("epoch", "loss_mode", "teacher_epoch", "mean_alpha",
 
 def write_diagnostics_csv(diagnostics: list[EpochDiagnostics], path) -> None:
     """One CSV row per epoch; absent teacher renders as an empty field."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DIAGNOSTICS_COLUMNS)
-        for d in diagnostics:
-            writer.writerow([
-                d.epoch, d.loss_mode,
-                "" if d.teacher_epoch is None else d.teacher_epoch,
-                repr(d.mean_alpha), repr(d.alpha_std), repr(d.mean_grad_norm),
-                repr(d.train_loss), repr(d.val_score),
-            ])
+    write_csv(path, {name: [getattr(d, name) for d in diagnostics]
+                     for name in DIAGNOSTICS_COLUMNS})
 
 
 def make_task_data(model_cfg: ModelConfig, *, train_size: int, val_size: int,

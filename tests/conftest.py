@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,3 +26,29 @@ def rel_error(actual, expected) -> float:
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+def open_failing_on_write(name_prefix: str, exc: BaseException):
+    """A stand-in for ``open``: files whose name starts with ``name_prefix``
+    raise ``exc`` on every write after their first; others pass through."""
+    real_open = open
+
+    class File:
+        def __init__(self, path, mode, **kwargs):
+            self.fh = real_open(path, mode, **kwargs)
+            self.fails = Path(path).name.startswith(name_prefix)
+            self.writes = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.fails and self.writes > 1:
+                raise exc
+            return self.fh.write(data)
+
+    return File

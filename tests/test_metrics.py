@@ -104,18 +104,8 @@ class TestScalarMetrics:
     def test_accuracy(self):
         assert accuracy_score(np.array([1, 2, 3]), np.array([1, 2, 0])) == pytest.approx(2 / 3)
 
-    def test_accuracy_with_mask(self):
-        pred = np.array([[1, 2], [3, 4]])
-        ref = np.array([[1, 9], [3, 9]])
-        mask = np.array([[True, False], [True, False]])
-        assert accuracy_score(pred, ref, mask=mask) == 1.0
-
     def test_mean_nll(self):
         probs = np.array([[0.5, 0.5], [0.9, 0.1]])
         targets = np.array([0, 1])
         expected = -(math.log(0.5) + math.log(0.1)) / 2
         assert mean_nll(probs, targets) == pytest.approx(expected, abs=1e-12)
-
-    def test_empty_mask_rejected(self):
-        with pytest.raises(ValueError):
-            accuracy_score(np.array([1]), np.array([1]), mask=np.array([False]))

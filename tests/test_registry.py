@@ -2,8 +2,9 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import open_failing_on_write
 
-from alskd import registry as registry_module
+from alskd import artifacts as artifacts_module
 from alskd.data import ClassificationData, SequenceData
 from alskd.registry import (
     CheckpointRegistry,
@@ -121,7 +122,7 @@ class TestRegistry:
                 return self.fh.write(data)
 
         params = np.arange(6, dtype=np.float32)
-        monkeypatch.setattr(registry_module, "open", FailsAfterHeader, raising=False)
+        monkeypatch.setattr(artifacts_module, "open", FailsAfterHeader, raising=False)
         with pytest.raises(OSError, match="disk full"):
             registry.store(params, 2, 0.75, "accuracy")
         monkeypatch.undo()
@@ -133,6 +134,27 @@ class TestRegistry:
         registry.store(params, 2, 0.75, "accuracy")
         assert registry.epochs() == [1, 2]
         np.testing.assert_array_equal(registry.load(2).params, params)
+
+    def test_failed_index_write_leaves_registry_unchanged(self, registry, monkeypatch):
+        registry.store(np.zeros(2, np.float32), 1, 0.5, "accuracy")
+        index = registry.index_path.read_bytes()
+        params = np.arange(2, dtype=np.float32)
+        # the header row is written, the first epoch row fails
+        monkeypatch.setattr(artifacts_module, "open",
+                            open_failing_on_write(registry.INDEX_NAME, OSError("disk full")),
+                            raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            registry.store(params, 2, 0.75, "accuracy")
+        monkeypatch.undo()
+        assert not list(registry.root.glob("*.tmp"))
+        assert registry.index_path.read_bytes() == index
+        assert registry.epochs() == [1]
+        assert registry.select_teacher(3).epoch == 1
+
+        registry.store(params, 2, 0.75, "accuracy")
+        assert registry.epochs() == [1, 2]
+        assert registry.select_teacher(3).epoch == 2
+        assert CheckpointRegistry(registry.root).epochs() == [1, 2]
 
 
 class TestTeacherSelection:

@@ -1,14 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import central_difference, rel_error
 
+from alskd.data import batch_indices
 from alskd.losses import label_smoothing_loss, uniform_prior
 from alskd.models import MLPClassifier, build_model
 from alskd.probs import alpha_rows, floored_log, softmax_rows
-from alskd.registry import TeacherHandle
+from alskd.registry import TeacherHandle, evaluate_g
 from alskd.trainer import (
     METHODS,
     DivergenceError,
+    EpochDiagnostics,
     MissingTeacherError,
     ModelConfig,
     TrainConfig,
@@ -164,27 +168,6 @@ class TestForwardBackward:
         fd = central_difference(loss_of, params, step=1e-6)
         assert rel_error(stats.grad, fd) < 1e-4
 
-    def test_alpha_override_reproduces_gradients(self, tmp_path):
-        cfg, splits = tiny_splits()
-        model = MLPClassifier(cfg.input_dim, cfg.hidden, cfg.n_classes)
-        params = model.init_params(3)
-
-        def fwd(p, inputs):
-            return model.forward(p, inputs)[0]
-
-        teacher_params = model.init_params(4)
-        teacher_params.flags.writeable = False
-        handle = TeacherHandle(epoch=1, val_score=0.0, g_kind="accuracy",
-                               params=teacher_params, _forward_fn=fwd)
-        x, y = splits.train.x[:32], splits.train.y[:32]
-        cfg_t = tiny_train_cfg("adaptive_skd")
-        live = forward_backward(model, params, x, y, method="adaptive_skd", epoch=2,
-                                cfg=cfg_t, teacher=handle)
-        replay = forward_backward(model, params, x, y, method="adaptive_skd", epoch=2,
-                                  cfg=cfg_t, teacher=handle, alpha_override=live.alphas)
-        np.testing.assert_allclose(replay.grad, live.grad, atol=1e-9)
-        assert replay.loss == pytest.approx(live.loss, abs=1e-12)
-
     def test_all_methods_run_one_batch(self):
         cfg, splits = tiny_splits()
         model = MLPClassifier(cfg.input_dim, cfg.hidden, cfg.n_classes)
@@ -273,6 +256,45 @@ class TestTrainingLoop:
                 train(cfg, hot, splits, tmp_path / "run")
         assert err.value.epoch >= 1
         assert err.value.batch_index >= 0
+
+    def test_train_matches_a_literal_replay(self, tmp_path):
+        """The schedule, momentum step, parameter update and gradient norms, bit for bit."""
+        cfg, splits = tiny_splits()
+        cfg_t = tiny_train_cfg("adaptive_alpha_uniform", epochs=3)
+        result = train(cfg, cfg_t, splits, tmp_path / "run")
+
+        model = MLPClassifier(cfg.input_dim, cfg.hidden, cfg.n_classes)
+        params = model.init_params(cfg_t.seed)
+        batch_rng = np.random.default_rng(np.random.SeedSequence([cfg_t.seed, 1]))
+        x, y = splits.train.x, splits.train.y
+        velocity = np.zeros_like(params)
+        step = 0
+        expected = []
+        for epoch in range(1, cfg_t.epochs + 1):
+            losses, norms, alphas = [], [], []
+            for idx in batch_indices(len(x), cfg_t.batch_size, batch_rng):
+                stats = forward_backward(model, params, x[idx], y[idx], method=cfg_t.method,
+                                         epoch=epoch, cfg=cfg_t)
+                step += 1
+                warm = cfg_t.warmup_steps
+                lr = cfg_t.learning_rate * min((step / warm) ** 2, math.sqrt(warm / step))
+                velocity *= cfg_t.momentum
+                velocity -= lr * stats.grad
+                params = params + velocity
+                losses.append(stats.loss)
+                g64 = stats.grad.astype(np.float64)
+                norms.append(math.sqrt(g64.dot(g64)))
+                alphas.append(stats.alphas)
+            alphas = np.concatenate(alphas)
+            expected.append(EpochDiagnostics(
+                epoch=epoch, loss_mode=cfg_t.method, teacher_epoch=None,
+                mean_alpha=float(alphas.mean()), alpha_std=float(alphas.std()),
+                mean_grad_norm=float(np.mean(norms)), train_loss=float(np.mean(losses)),
+                val_score=evaluate_g(lambda p, inputs: model.forward(p, inputs)[0], params,
+                                     splits.val, cfg_t.g_kind)))
+
+        assert result.params.tobytes() == params.tobytes()
+        assert result.diagnostics == expected
 
     def test_learning_rate_schedule_shape(self):
         warm = [learning_rate_at(s, 1.0, 100) for s in range(1, 101)]
