@@ -39,6 +39,7 @@ from .metrics import mini_bleu
 from .probs import adaptive_alpha, entropy, softmax_with_temperature
 from .registry import (
     CheckpointRegistry,
+    CorruptCheckpointError,
     DuplicateEpochError,
     NoTeacherError,
     TeacherHandle,
@@ -61,6 +62,7 @@ __all__ = [
     "CalibrationBin",
     "CalibrationReport",
     "CheckpointRegistry",
+    "CorruptCheckpointError",
     "DivergenceError",
     "DuplicateEpochError",
     "EpochDiagnostics",

@@ -17,36 +17,40 @@ def mini_bleu(hypotheses: Sequence[Sequence], references: Sequence[Sequence], ma
     over the n-gram orders the hypotheses actually realize (a corpus of
     only short sequences simply has no high-order terms); any realized
     order with zero matches collapses the score to 0. Tokens can be any
-    hashable values.
-
-    N-grams are counted as packed integer keys. Tokens get dense ids from
-    one dict pass over the corpus, and each sentence pair a dense rank.
-    An order-n key is ``rank * n_ids + id`` of the n-gram's last token,
-    where ``rank`` is the dense rank (from ``np.unique``) of its order-(n-1)
-    prefix key, and the order-0 key is the pair rank; n-grams that would
-    cross a sentence boundary are dropped. Keys are thus equal exactly when
-    the pair and every token agree, so the per-pair clipped counts are the
-    same integers a per-sentence n-gram counter gives, and the score is
-    exact, not approximate. Ranks are below the corpus token count
-    ``n_tokens`` and ids below ``n_ids <= n_tokens``, so every key is
-    below ``n_tokens * n_ids``: int64 holds it for any corpus of fewer
-    than 3e9 tokens.
+    hashable values: one dict pass gives them dense ids for ``corpus_bleu``.
     """
     if len(hypotheses) != len(references):
         raise ValueError("need one reference per hypothesis")
-    if not hypotheses:
+    sentences = [list(s) for s in (*hypotheses, *references)]
+    ids: dict = {}
+    tokens = np.array([ids.setdefault(t, len(ids)) for s in sentences for t in s], dtype=np.int64)
+    return corpus_bleu(tokens, np.array([len(s) for s in sentences], dtype=np.int64), max_n)
+
+
+def corpus_bleu(tokens: np.ndarray, lengths: np.ndarray, max_n: int = 4) -> float:
+    """``mini_bleu`` of non-negative integer token ids: ``tokens`` holds the n
+    hypotheses, then their n references, and ``lengths`` the 2n sentence lengths.
+
+    N-grams are counted as packed integer keys. An order-n key is
+    ``rank * n_ids + id`` of its last token (every id is below ``n_ids``),
+    where ``rank`` is the dense rank (from ``np.unique``) of its order-(n-1)
+    prefix key, and the order-0 key is the sentence pair; n-grams that would
+    cross a sentence boundary are dropped. Keys are thus equal exactly when
+    the pair and every token agree, so the clipped counts are the integers a
+    per-sentence n-gram counter gives, whatever distinct ids the tokens get.
+    Ranks are below the token count, so int64 holds every key for fewer than
+    3e9 tokens with ids below that count.
+    """
+    n_pairs = len(lengths) // 2
+    if not n_pairs:
         raise ValueError("need at least one hypothesis")
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n!r}")
 
-    # hypotheses first, then references; each sentence is one segment
-    sentences = [list(s) for s in (*hypotheses, *references)]
-    ids: dict = {}
-    tokens = np.array([ids.setdefault(t, len(ids)) for s in sentences for t in s], dtype=np.int64)
-    lengths = np.array([len(s) for s in sentences], dtype=np.int64)
-    hyp_len = int(lengths[: len(hypotheses)].sum())
+    n_ids = int(tokens.max(initial=0)) + 1
+    hyp_len = int(lengths[:n_pairs].sum())
     segment_end = np.repeat(np.cumsum(lengths), lengths)
-    pair = np.repeat(np.arange(len(sentences)) % len(hypotheses), lengths)
+    pair = np.repeat(np.arange(len(lengths)) % n_pairs, lengths)
 
     matched = np.zeros(max_n)
     total = np.zeros(max_n)
@@ -55,7 +59,7 @@ def mini_bleu(hypotheses: Sequence[Sequence], references: Sequence[Sequence], ma
     for n in range(1, max_n + 1):
         whole = starts + n <= segment_end[starts]
         starts, prefix = starts[whole], prefix[whole]
-        keys = prefix * len(ids) + tokens[starts + n - 1]
+        keys = prefix * n_ids + tokens[starts + n - 1]
         unique, prefix = np.unique(keys, return_inverse=True)
         n_hyp = int(np.searchsorted(starts, hyp_len))
         hyp_counts = np.bincount(prefix[:n_hyp], minlength=unique.size)

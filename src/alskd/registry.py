@@ -3,21 +3,21 @@
 Checkpoints are written in a deliberately simple binary layout so any
 language can parse them: a fixed header (magic ``ALSK``, format version,
 parameter count, epoch, metric code, validation score as a 64-bit float)
-followed by the little-endian float32 parameter values. A human-readable
-CSV index lists every checkpoint next to the binaries.
+followed by the little-endian float32 parameter values. The headers are
+the registry's record; the human-readable ``index.csv`` is derived from them.
 
 The self-teacher for epoch ``t`` is the stored checkpoint with the best
 validation score among epochs strictly before ``t``: highest score for
 score-like metrics (accuracy, mini_bleu), lowest for loss-like ones (nll),
 with ties broken toward the later epoch.
 
-Files are written through ``artifacts``; an epoch joins the registry only
-once the index that lists it is on disk.
+Files are written through ``artifacts``. An epoch joins once its checkpoint
+is renamed into place; ``trainer.train`` writes the index when it returns or raises.
 """
 
 from __future__ import annotations
 
-import csv
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +26,7 @@ import numpy as np
 
 from .artifacts import replacing, write_csv
 from .data import SequenceData, dataset_arrays, flat_positions
-from .metrics import accuracy_score, mean_nll, mini_bleu
+from .metrics import accuracy_score, corpus_bleu, mean_nll
 from .probs import softmax_rows
 
 MAGIC = b"ALSK"
@@ -42,6 +42,10 @@ SCORE_LIKE = frozenset({"accuracy", "mini_bleu"})
 
 class DuplicateEpochError(ValueError):
     """A checkpoint for this epoch is already stored."""
+
+
+class CorruptCheckpointError(OSError, ValueError):
+    """A checkpoint file that is truncated or not in the checkpoint format."""
 
 
 class NoTeacherError(LookupError):
@@ -88,24 +92,29 @@ def write_checkpoint(path, params: np.ndarray, epoch: int, val_score: float, g_k
         fh.write(flat.astype("<f4").tobytes())
 
 
+def _read_header(fh, path) -> tuple[int, int, str, float]:
+    """``(count, epoch, g_kind, val_score)`` of an open checkpoint whose size matches its header."""
+    raw = fh.read(_HEADER.size)
+    if len(raw) != _HEADER.size:
+        raise CorruptCheckpointError(f"truncated checkpoint header in {path}")
+    magic, version, count, epoch, g_code, val_score = _HEADER.unpack(raw)
+    if magic != MAGIC:
+        raise CorruptCheckpointError(f"{path} is not a checkpoint file (bad magic {magic!r})")
+    if version != FORMAT_VERSION:
+        raise CorruptCheckpointError(f"unsupported checkpoint format version {version} in {path}")
+    if g_code >= len(G_KINDS):
+        raise CorruptCheckpointError(f"unknown metric code {g_code} in {path}")
+    if os.fstat(fh.fileno()).st_size != _HEADER.size + 4 * count:
+        raise CorruptCheckpointError(f"parameter block of {path} does not hold {count} values")
+    return count, epoch, G_KINDS[g_code], val_score
+
+
 def read_checkpoint(path) -> CheckpointRecord:
     with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) != _HEADER.size:
-            raise ValueError(f"truncated checkpoint header in {path}")
-        magic, version, count, epoch, g_code, val_score = _HEADER.unpack(raw)
-        if magic != MAGIC:
-            raise ValueError(f"{path} is not a checkpoint file (bad magic {magic!r})")
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format version {version} in {path}")
-        if g_code >= len(G_KINDS):
-            raise ValueError(f"unknown metric code {g_code} in {path}")
-        body = fh.read(count * 4)
-        if len(body) != count * 4:
-            raise ValueError(f"truncated parameter block in {path}")
-    params = np.frombuffer(body, dtype="<f4").astype(np.float32)
+        count, epoch, g_kind, val_score = _read_header(fh, path)
+        params = np.frombuffer(fh.read(count * 4), dtype="<f4").astype(np.float32)
     params.flags.writeable = False
-    return CheckpointRecord(epoch=epoch, params=params, val_score=val_score, g_kind=G_KINDS[g_code])
+    return CheckpointRecord(epoch=epoch, params=params, val_score=val_score, g_kind=g_kind)
 
 
 class CheckpointRegistry:
@@ -115,27 +124,25 @@ class CheckpointRegistry:
     """
 
     INDEX_NAME = "index.csv"
+    CHECKPOINT_NAME = "epoch_{:05d}.ckpt"
 
     def __init__(self, root, forward_fn=None, expected_param_count: int | None = None):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._forward_fn = forward_fn
         self._expected_param_count = expected_param_count
-        # epoch -> (file name, g_kind, val_score)
+        # epoch -> (file name, g_kind, val_score), read from the checkpoint headers
         self._entries: dict[int, tuple[str, str, float]] = {}
-        self._load_index()
+        for path in sorted(self.root.glob("epoch_*.ckpt")):
+            with open(path, "rb") as fh:
+                _, epoch, g_kind, val_score = _read_header(fh, path)
+            if path.name != self.CHECKPOINT_NAME.format(epoch):
+                raise CorruptCheckpointError(f"{path} holds epoch {epoch}")
+            self._entries[epoch] = (path.name, g_kind, val_score)
 
     @property
     def index_path(self) -> Path:
         return self.root / self.INDEX_NAME
-
-    def _load_index(self) -> None:
-        if not self.index_path.exists():
-            return
-        with open(self.index_path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                self._entries[int(row["epoch"])] = (
-                    row["file"], row["g_kind"], float(row["val_score"]))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -148,7 +155,7 @@ class CheckpointRegistry:
         return [self.root / self._entries[e][0] for e in sorted(self._entries)]
 
     def store(self, params: np.ndarray, epoch: int, val_score: float, g_kind: str) -> Path:
-        """Durably write one epoch's checkpoint and update the index."""
+        """Durably write one epoch's checkpoint; the epoch joins once it is in place."""
         if self._expected_param_count is not None and params.size != self._expected_param_count:
             raise ValueError(
                 f"parameter count {params.size} does not match the declared "
@@ -157,27 +164,23 @@ class CheckpointRegistry:
             raise ValueError(f"val_score must be finite, got {val_score!r}")
         if epoch in self._entries:
             raise DuplicateEpochError(f"epoch {epoch} already stored in {self.root}")
-        name = f"epoch_{epoch:05d}.ckpt"
+        name = self.CHECKPOINT_NAME.format(epoch)
         path = self.root / name
         write_checkpoint(path, params, epoch, val_score, g_kind)
-        entries = {**self._entries, epoch: (name, g_kind, float(val_score))}
-        epochs = sorted(entries)
-        names, kinds, scores = zip(*map(entries.get, epochs))
-        write_csv(self.index_path,
-                  {"epoch": epochs, "file": names, "g_kind": kinds, "val_score": scores})
-        self._entries = entries  # only once the index that lists the epoch is on disk
+        self._entries[epoch] = (name, g_kind, float(val_score))
         return path
 
-    def _best_epoch(self, epochs) -> int | None:
-        best = None
-        for epoch in epochs:
-            _, g_kind, score = self._entries[epoch]
-            oriented = score if g_kind in SCORE_LIKE else -score
-            # ties break toward the later epoch
-            key = (oriented, epoch)
-            if best is None or key > best[0]:
-                best = (key, epoch)
-        return None if best is None else best[1]
+    def write_index(self) -> None:
+        """Write ``index.csv``, one row per stored epoch in epoch order."""
+        epochs = sorted(self._entries)
+        names, kinds, scores = ([self._entries[e][i] for e in epochs] for i in range(3))
+        write_csv(self.index_path,
+                  {"epoch": epochs, "file": names, "g_kind": kinds, "val_score": scores})
+
+    def _rank(self, epoch: int) -> tuple[float, int]:
+        """Larger for a better teacher: the oriented score, then the later epoch on ties."""
+        _, g_kind, score = self._entries[epoch]
+        return (score if g_kind in SCORE_LIKE else -score), epoch
 
     def load(self, epoch: int) -> CheckpointRecord:
         if epoch not in self._entries:
@@ -190,22 +193,8 @@ class CheckpointRegistry:
         candidates = [e for e in self._entries if e < current_epoch]
         if not candidates:
             raise NoTeacherError(f"no checkpoint precedes epoch {current_epoch}")
-        chosen = self._best_epoch(candidates)
-        record = self.load(chosen)
-        return TeacherHandle(
-            epoch=record.epoch,
-            val_score=record.val_score,
-            g_kind=record.g_kind,
-            params=record.params,
-            _forward_fn=self._forward_fn,
-        )
-
-
-def greedy_decode(forward_fn, params: np.ndarray, data: SequenceData) -> list[list[int]]:
-    """Per-position argmax decode of each sequence, truncated at its length."""
-    logits = forward_fn(params, data.inputs)
-    pred = logits.argmax(axis=-1)
-    return [pred[i, : int(n)].tolist() for i, n in enumerate(data.lengths)]
+        record = self.load(max(candidates, key=self._rank))
+        return TeacherHandle(**vars(record), _forward_fn=self._forward_fn)
 
 
 def evaluate_g(forward_fn, params: np.ndarray, dataset, g_kind: str) -> float:
@@ -216,9 +205,11 @@ def evaluate_g(forward_fn, params: np.ndarray, dataset, g_kind: str) -> float:
         raise ValueError("validation set must be non-empty")
 
     if isinstance(dataset, SequenceData) and g_kind == "mini_bleu":
-        hyps = greedy_decode(forward_fn, params, dataset)
-        refs = [dataset.targets[i, : int(n)].tolist() for i, n in enumerate(dataset.lengths)]
-        return mini_bleu(hyps, refs)
+        # greedy decode: the per-position argmax of each sequence, up to its length
+        mask = dataset.mask
+        hyp = forward_fn(params, dataset.inputs).argmax(axis=-1)[mask]
+        return corpus_bleu(np.concatenate([hyp, dataset.targets[mask]]),
+                           np.tile(mask.sum(axis=1), 2))
     if g_kind == "mini_bleu":
         raise ValueError("mini_bleu requires a sequence task")
     inputs, targets, mask = dataset_arrays(dataset)

@@ -9,6 +9,7 @@ its teacher from the registry before the first batch.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -258,50 +259,56 @@ def train(model_cfg: ModelConfig, cfg: TrainConfig, splits: DataSplits,
     step = 0
     diagnostics: list[EpochDiagnostics] = []
 
-    for epoch in range(1, cfg.epochs + 1):
-        teacher = None
-        if METHODS[cfg.method].prior == "teacher" and epoch > 1:
-            teacher = registry.select_teacher(epoch)
+    try:
+        for epoch in range(1, cfg.epochs + 1):
+            teacher = None
+            if METHODS[cfg.method].prior == "teacher" and epoch > 1:
+                teacher = registry.select_teacher(epoch)
 
-        losses = []
-        grad_norms = []
-        alpha_chunks = []
-        loss_mode = cfg.method
-        for batch_index, idx in enumerate(batch_indices(len(inputs), cfg.batch_size, batch_rng)):
-            stats = forward_backward(
-                model, params, inputs[idx], targets[idx],
-                method=cfg.method, epoch=epoch, cfg=cfg,
-                mask=None if mask is None else mask[idx],
-                teacher=teacher,
-                prior_probs=prior_probs,
-            )
-            if not math.isfinite(stats.loss):
-                raise DivergenceError(epoch, batch_index)
-            step += 1
-            lr = learning_rate_at(step, cfg.learning_rate, cfg.warmup_steps)
-            velocity *= cfg.momentum
-            velocity -= lr * stats.grad
-            params = params + velocity
-            losses.append(stats.loss)
-            g64 = stats.grad.astype(np.float64)
-            grad_norms.append(math.sqrt(g64.dot(g64)))
-            alpha_chunks.append(stats.alphas)
-            loss_mode = stats.loss_mode
+            losses = []
+            grad_norms = []
+            alpha_chunks = []
+            loss_mode = cfg.method
+            for batch_index, idx in enumerate(batch_indices(len(inputs), cfg.batch_size, batch_rng)):
+                stats = forward_backward(
+                    model, params, inputs[idx], targets[idx],
+                    method=cfg.method, epoch=epoch, cfg=cfg,
+                    mask=None if mask is None else mask[idx],
+                    teacher=teacher,
+                    prior_probs=prior_probs,
+                )
+                if not math.isfinite(stats.loss):
+                    raise DivergenceError(epoch, batch_index)
+                step += 1
+                lr = learning_rate_at(step, cfg.learning_rate, cfg.warmup_steps)
+                velocity *= cfg.momentum
+                velocity -= lr * stats.grad
+                params = params + velocity
+                losses.append(stats.loss)
+                g64 = stats.grad.astype(np.float64)
+                grad_norms.append(math.sqrt(g64.dot(g64)))
+                alpha_chunks.append(stats.alphas)
+                loss_mode = stats.loss_mode
 
-        val_score = evaluate_g(forward_fn, params, splits.val, cfg.g_kind)
-        registry.store(params.copy(), epoch, val_score, cfg.g_kind)
+            val_score = evaluate_g(forward_fn, params, splits.val, cfg.g_kind)
+            registry.store(params, epoch, val_score, cfg.g_kind)
 
-        alphas = np.concatenate(alpha_chunks)
-        diagnostics.append(EpochDiagnostics(
-            epoch=epoch,
-            loss_mode=loss_mode,
-            teacher_epoch=None if teacher is None else teacher.epoch,
-            mean_alpha=float(alphas.mean()),
-            alpha_std=float(alphas.std()),
-            mean_grad_norm=float(np.mean(grad_norms)),
-            train_loss=float(np.mean(losses)),
-            val_score=float(val_score),
-        ))
+            alphas = np.concatenate(alpha_chunks)
+            diagnostics.append(EpochDiagnostics(
+                epoch=epoch,
+                loss_mode=loss_mode,
+                teacher_epoch=None if teacher is None else teacher.epoch,
+                mean_alpha=float(alphas.mean()),
+                alpha_std=float(alphas.std()),
+                mean_grad_norm=float(np.mean(grad_norms)),
+                train_loss=float(np.mean(losses)),
+                val_score=float(val_score),
+            ))
+    except BaseException:
+        with contextlib.suppress(OSError):  # the error that stopped training is the one raised
+            registry.write_index()
+        raise
+    registry.write_index()
 
     return TrainResult(params=params, diagnostics=diagnostics, registry=registry,
                        model=model)

@@ -110,6 +110,13 @@ class TestTrainCommand:
         assert main(["train", "--config", str(tiny_config),
                      "--output", str(blocker)]) == EXIT_IO
 
+    def test_corrupt_checkpoint_exits_with_io_code(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "registry").mkdir(parents=True)
+        (out / "registry" / "epoch_00001.ckpt").write_bytes(b"ALSK\x01\x00")
+        assert main(["train", "--config", str(tiny_config), "--output", str(out)]) == EXIT_IO
+        assert "epoch_00001.ckpt" in capsys.readouterr().err
+
     def test_output_root_env(self, tiny_config, tmp_path, monkeypatch):
         monkeypatch.setenv("ALSKD_OUTPUT_ROOT", str(tmp_path / "root"))
         main(["train", "--config", str(tiny_config), "--output", "exp"])

@@ -1,37 +1,12 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import counter_bleu
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alskd.metrics import accuracy_score, mean_nll, mini_bleu
-
-
-def counter_bleu(hypotheses, references, max_n=4):
-    """Reference corpus BLEU with a Counter of n-gram tuples per sentence."""
-    matched = np.zeros(max_n)
-    total = np.zeros(max_n)
-    hyp_len = 0
-    ref_len = 0
-    for hyp, ref in zip(hypotheses, references):
-        hyp = list(hyp)
-        ref = list(ref)
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        for n in range(1, max_n + 1):
-            counts = Counter(tuple(hyp[i : i + n]) for i in range(len(hyp) - n + 1))
-            ref_counts = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
-            matched[n - 1] += sum(min(c, ref_counts[g]) for g, c in counts.items())
-            total[n - 1] += sum(counts.values())
-
-    realized = total > 0
-    if not realized.any() or np.any(matched[realized] == 0):
-        return 0.0
-    log_precisions = np.log(matched[realized] / total[realized])
-    bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / max(hyp_len, 1))
-    return float(bp * math.exp(log_precisions.mean()))
 
 
 @st.composite

@@ -2,16 +2,19 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import open_failing_on_write
+from conftest import counter_bleu, open_failing_on_write
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alskd import artifacts as artifacts_module
-from alskd.data import ClassificationData, SequenceData
+from alskd.data import PAD_ID, ClassificationData, SequenceData
+from alskd.metrics import mini_bleu
 from alskd.registry import (
     CheckpointRegistry,
+    CorruptCheckpointError,
     DuplicateEpochError,
     NoTeacherError,
     evaluate_g,
-    greedy_decode,
     read_checkpoint,
     write_checkpoint,
 )
@@ -20,6 +23,12 @@ from alskd.registry import (
 @pytest.fixture
 def registry(tmp_path):
     return CheckpointRegistry(tmp_path / "reg")
+
+
+def greedy_decode(forward_fn, params, data):
+    """Per-position argmax decode of each sequence, truncated at its length."""
+    pred = forward_fn(params, data.inputs).argmax(axis=-1)
+    return [pred[i, : int(n)].tolist() for i, n in enumerate(data.lengths)]
 
 
 def linear_forward(params, x):
@@ -62,6 +71,18 @@ class TestBinaryFormat:
         with pytest.raises(ValueError):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("damage", ["header", "body", "extra", "magic"])
+    def test_corruption_is_an_io_error_naming_the_file(self, tmp_path, damage):
+        path = tmp_path / "ck.bin"
+        write_checkpoint(path, np.arange(4, dtype=np.float32), epoch=1, val_score=0.5,
+                         g_kind="accuracy")
+        raw = path.read_bytes()
+        path.write_bytes({"header": raw[:20], "body": raw[:-1], "extra": raw + b"\x00",
+                          "magic": b"ALSX" + raw[4:]}[damage])
+        with pytest.raises(CorruptCheckpointError, match="ck.bin") as err:
+            read_checkpoint(path)
+        assert isinstance(err.value, OSError) and isinstance(err.value, ValueError)
+
 
 class TestRegistry:
     def test_store_and_enumerate(self, registry, rng):
@@ -82,12 +103,16 @@ class TestRegistry:
         np.testing.assert_array_equal(registry.load(4).params, params)
 
     def test_index_sidecar_is_readable(self, registry):
+        registry.write_index()
+        assert registry.index_path.read_bytes() == b"epoch,file,g_kind,val_score\r\n"
         registry.store(np.zeros(2, np.float32), 1, 0.5, "accuracy")
         registry.store(np.zeros(2, np.float32), 2, 0.75, "accuracy")
-        lines = registry.index_path.read_text().splitlines()
-        assert lines[0] == "epoch,file,g_kind,val_score"
-        assert lines[1].startswith("1,epoch_00001.ckpt,accuracy,")
-        assert len(lines) == 3
+        assert len(registry.index_path.read_bytes().splitlines()) == 1  # store leaves the index alone
+        registry.write_index()
+        assert registry.index_path.read_bytes() == (
+            b"epoch,file,g_kind,val_score\r\n"
+            b"1,epoch_00001.ckpt,accuracy,0.5\r\n"
+            b"2,epoch_00002.ckpt,accuracy,0.75\r\n")
 
     def test_reload_from_disk(self, tmp_path, rng):
         first = CheckpointRegistry(tmp_path / "reg")
@@ -95,13 +120,45 @@ class TestRegistry:
         second = CheckpointRegistry(tmp_path / "reg")
         assert second.epochs() == [1]
 
+    def test_killed_run_reopens_with_its_checkpoints(self, registry, rng):
+        """A run stopped after epoch 3 wrote no index; its checkpoints are its entries."""
+        scores = {1: 0.25, 2: 0.75, 3: 0.5}
+        stored = {e: rng.normal(size=5).astype(np.float32) for e in scores}
+        for epoch, score in scores.items():
+            registry.store(stored[epoch], epoch, score, "mini_bleu")
+        # a write the kill interrupted, and an index from some earlier run
+        (registry.root / "epoch_00004.ckpt.tmp").write_bytes(b"ALSK")
+        registry.index_path.write_text("epoch,file,g_kind,val_score\r\n")
+
+        reopened = CheckpointRegistry(registry.root)
+        assert reopened.epochs() == [1, 2, 3]
+        assert reopened.select_teacher(4).epoch == 2
+        for epoch in scores:
+            np.testing.assert_array_equal(reopened.load(epoch).params, stored[epoch])
+        reopened.write_index()
+        assert reopened.index_path.read_bytes() == (
+            b"epoch,file,g_kind,val_score\r\n"
+            b"1,epoch_00001.ckpt,mini_bleu,0.25\r\n"
+            b"2,epoch_00002.ckpt,mini_bleu,0.75\r\n"
+            b"3,epoch_00003.ckpt,mini_bleu,0.5\r\n")
+
+    @pytest.mark.parametrize("damage", ["truncated", "misnamed"])
+    def test_corrupt_checkpoint_refuses_to_open(self, registry, damage):
+        registry.store(np.zeros(2, np.float32), 1, 0.5, "accuracy")
+        bad = registry.root / "epoch_00002.ckpt"
+        if damage == "truncated":
+            bad.write_bytes((registry.root / "epoch_00001.ckpt").read_bytes()[:-3])
+        else:
+            write_checkpoint(bad, np.zeros(2, np.float32), 7, 0.5, "accuracy")
+        with pytest.raises(CorruptCheckpointError, match="epoch_00002.ckpt"):
+            CheckpointRegistry(registry.root)
+
     def test_nonfinite_score_rejected(self, registry):
         with pytest.raises(ValueError):
             registry.store(np.zeros(2, np.float32), 1, float("nan"), "accuracy")
 
     def test_failed_write_leaves_no_checkpoint(self, registry, monkeypatch):
         registry.store(np.zeros(2, np.float32), 1, 0.5, "accuracy")
-        index = registry.index_path.read_bytes()
 
         class FailsAfterHeader:
             """A binary file whose second write (the parameter block) fails."""
@@ -126,10 +183,9 @@ class TestRegistry:
         with pytest.raises(OSError, match="disk full"):
             registry.store(params, 2, 0.75, "accuracy")
         monkeypatch.undo()
-        assert not (registry.root / "epoch_00002.ckpt").exists()
-        assert not list(registry.root.glob("*.tmp"))
-        assert registry.index_path.read_bytes() == index
+        assert sorted(p.name for p in registry.root.iterdir()) == ["epoch_00001.ckpt"]
         assert registry.epochs() == [1]
+        assert CheckpointRegistry(registry.root).epochs() == [1]
 
         registry.store(params, 2, 0.75, "accuracy")
         assert registry.epochs() == [1, 2]
@@ -137,23 +193,24 @@ class TestRegistry:
 
     def test_failed_index_write_leaves_registry_unchanged(self, registry, monkeypatch):
         registry.store(np.zeros(2, np.float32), 1, 0.5, "accuracy")
+        registry.write_index()
         index = registry.index_path.read_bytes()
-        params = np.arange(2, dtype=np.float32)
+        registry.store(np.arange(2, dtype=np.float32), 2, 0.75, "accuracy")
         # the header row is written, the first epoch row fails
         monkeypatch.setattr(artifacts_module, "open",
                             open_failing_on_write(registry.INDEX_NAME, OSError("disk full")),
                             raising=False)
         with pytest.raises(OSError, match="disk full"):
-            registry.store(params, 2, 0.75, "accuracy")
+            registry.write_index()
         monkeypatch.undo()
         assert not list(registry.root.glob("*.tmp"))
         assert registry.index_path.read_bytes() == index
-        assert registry.epochs() == [1]
-        assert registry.select_teacher(3).epoch == 1
-
-        registry.store(params, 2, 0.75, "accuracy")
         assert registry.epochs() == [1, 2]
         assert registry.select_teacher(3).epoch == 2
+
+        registry.write_index()
+        assert registry.index_path.read_text().splitlines()[1:] == [
+            "1,epoch_00001.ckpt,accuracy,0.5", "2,epoch_00002.ckpt,accuracy,0.75"]
         assert CheckpointRegistry(registry.root).epochs() == [1, 2]
 
 
@@ -248,6 +305,29 @@ class TestEvaluateG:
         assert evaluate_g(seq_forward, np.zeros(1, np.float32), data, "mini_bleu") == 1.0
         hyps = greedy_decode(seq_forward, np.zeros(1, np.float32), data)
         assert hyps == [[2, 3, 4], [1, 2]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mini_bleu_on_arrays_equals_decoded_lists(self, data):
+        """Scores from arrays equal the list API on decoded sentences and the Counter oracle."""
+        vocab = data.draw(st.integers(3, 12), label="symbols")
+        n, t = data.draw(st.integers(1, 6), label="sequences"), data.draw(st.integers(1, 7))
+        grid = st.lists(st.lists(st.integers(0, vocab - 1), min_size=t, max_size=t),
+                        min_size=n, max_size=n)
+        lengths = np.array(data.draw(st.lists(st.integers(1, t), min_size=n, max_size=n)))
+        targets = np.array(data.draw(grid, label="targets"))
+        targets[np.arange(t) >= lengths[:, None]] = PAD_ID
+        # the "model" emits its input as a one-hot row: predictions, pads included
+        split = SequenceData(inputs=np.array(data.draw(grid, label="predictions")),
+                             targets=targets, lengths=lengths)
+
+        def one_hot(params, inputs):
+            return np.eye(vocab)[inputs]
+
+        refs = [targets[i, :k].tolist() for i, k in enumerate(lengths)]
+        hyps = greedy_decode(one_hot, None, split)
+        score = evaluate_g(one_hot, None, split, "mini_bleu")
+        assert score == mini_bleu(hyps, refs) == counter_bleu(hyps, refs)
 
     def test_mini_bleu_needs_sequences(self):
         data = ClassificationData(x=np.zeros((2, 3), np.float32), y=np.zeros(2, np.int64))

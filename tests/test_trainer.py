@@ -1,14 +1,17 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import central_difference, rel_error
+from conftest import central_difference, open_failing_on_write, rel_error
 
+from alskd import artifacts, trainer
 from alskd.data import batch_indices
 from alskd.losses import label_smoothing_loss, uniform_prior
 from alskd.models import MLPClassifier, build_model
 from alskd.probs import alpha_rows, floored_log, softmax_rows
-from alskd.registry import TeacherHandle, evaluate_g
+from alskd.registry import TeacherHandle, evaluate_g, read_checkpoint
 from alskd.trainer import (
     METHODS,
     DivergenceError,
@@ -256,6 +259,54 @@ class TestTrainingLoop:
                 train(cfg, hot, splits, tmp_path / "run")
         assert err.value.epoch >= 1
         assert err.value.batch_index >= 0
+
+    @pytest.mark.parametrize("index_fails", [False, True])
+    def test_divergence_leaves_the_index_of_finished_epochs(self, tmp_path, monkeypatch,
+                                                            index_fails):
+        real = trainer.forward_backward
+
+        def diverging_at_epoch_3(*args, epoch, **kwargs):
+            stats = real(*args, epoch=epoch, **kwargs)
+            return dataclasses.replace(stats, loss=math.nan) if epoch == 3 else stats
+
+        monkeypatch.setattr(trainer, "forward_backward", diverging_at_epoch_3)
+        if index_fails:  # a failed index write does not hide the divergence
+            monkeypatch.setattr(artifacts, "open",
+                                open_failing_on_write("index.csv", OSError("disk full")),
+                                raising=False)
+        cfg, splits = tiny_splits()
+        run = tmp_path / "run"
+        with pytest.raises(DivergenceError) as err:
+            train(cfg, tiny_train_cfg("adaptive_skd", epochs=5), splits, run)
+        assert err.value.epoch == 3
+        assert sorted(p.name for p in run.iterdir()) == [
+            "epoch_00001.ckpt", "epoch_00002.ckpt", *([] if index_fails else ["index.csv"])]
+        if not index_fails:
+            # the rows the index had when epoch 2 was stored, one per stored epoch
+            scores = [read_checkpoint(run / f"epoch_0000{e}.ckpt").val_score for e in (1, 2)]
+            assert (run / "index.csv").read_bytes() == (
+                "epoch,file,g_kind,val_score\r\n"
+                f"1,epoch_00001.ckpt,accuracy,{scores[0]!r}\r\n"
+                f"2,epoch_00002.ckpt,accuracy,{scores[1]!r}\r\n").encode()
+
+    def test_registry_files_are_written_once_each(self, tmp_path, monkeypatch):
+        """One checkpoint per epoch and one index per run, nothing rewritten."""
+        opened = []
+        real_open = open
+
+        def recording_open(path, mode, **kwargs):
+            opened.append(Path(path))
+            return real_open(path, mode, **kwargs)
+
+        monkeypatch.setattr(artifacts, "open", recording_open, raising=False)
+        cfg, splits = tiny_splits()
+        run = tmp_path / "run"
+        cfg_t = tiny_train_cfg("adaptive_skd", epochs=3)
+        train(cfg, cfg_t, splits, run)
+        written = [p.name for p in opened if p.parent == run]
+        assert len(written) == cfg_t.epochs + 1
+        assert written == ["epoch_00001.ckpt.tmp", "epoch_00002.ckpt.tmp",
+                           "epoch_00003.ckpt.tmp", "index.csv.tmp"]
 
     def test_train_matches_a_literal_replay(self, tmp_path):
         """The schedule, momentum step, parameter update and gradient norms, bit for bit."""
