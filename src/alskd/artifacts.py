@@ -2,14 +2,16 @@
 
 A file is written to ``<name>.tmp`` beside its target and renamed over
 ``<name>`` once complete. A failed write, interrupts included, unlinks the
-temporary file, so the target keeps its previous bytes. CSV cells follow
-one rule set: floats as ``repr``, bools as ``true``/``false``, None empty.
+temporary file, so the target keeps its previous bytes. CSV is formatted a
+column at a time, byte for byte as ``csv.writer`` in the excel dialect:
+bools as ``true``/``false``, numbers as ``str`` (``repr`` for floats), None
+as an empty field, any other value as ``str``. A field holding ``,``, ``"``,
+CR or LF is quoted with its quotes doubled; a lone empty field is ``""``.
 """
 
-import csv
-import io
 import json
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -29,34 +31,45 @@ def replacing(path, mode: str = "w"):
         raise
 
 
-def _cells(column) -> list:
-    values = np.asarray(column)
-    # tolist gives Python floats, which csv writes as repr, and keeps None
-    return (np.where(values, "true", "false") if values.dtype == bool else values).tolist()
+def _quote(field: str) -> str:
+    """``csv.writer``'s minimal quoting."""
+    quoted = any(c in field for c in ',"\r\n')
+    return '"' + field.replace('"', '""') + '"' if quoted else field
 
 
-# Rows held as Python objects at once: a writer's memory stays flat however long the file.
+def _fields(column) -> list[str]:
+    values = np.asarray(column)  # one dtype check for the whole column
+    if values.dtype == bool:
+        return np.where(values, "true", "false").tolist()
+    if values.dtype.kind in "iuf":  # Python numbers: str of a float is its repr
+        return list(map(str, values.tolist()))
+    return [_quote("" if v is None else str(v)) for v in values.tolist()]
+
+
+# Rows formatted at once: a writer's memory stays flat however long the file.
 BLOCK_ROWS = 1024
 
 
-def _write_rows(fh, columns: dict) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(columns)
-    for start in range(0, len(next(iter(columns.values()))), BLOCK_ROWS):
-        writer.writerows(zip(*(_cells(c[start:start + BLOCK_ROWS]) for c in columns.values())))
+def _write_rows(write, columns: dict) -> None:
+    starts = range(0, len(next(iter(columns.values()))), BLOCK_ROWS)
+    blocks = ([_fields(c[s:s + BLOCK_ROWS]) for c in columns.values()] for s in starts)
+    for fields in chain([[[_quote(str(name))] for name in columns]], blocks):
+        if len(fields) == 1:  # a lone empty field is quoted, else it reads as no field
+            fields = [[f or '""' for f in fields[0]]]
+        write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
 def csv_text(columns: dict) -> str:
     """CSV of named, equal-length columns: a header line, then one line per row."""
-    buf = io.StringIO()
-    _write_rows(buf, columns)
-    return buf.getvalue()
+    parts = []
+    _write_rows(parts.append, columns)
+    return "".join(parts)
 
 
 def write_csv(path, columns: dict) -> None:
     """Write ``csv_text(columns)`` to ``path``, streaming the rows."""
     with replacing(path) as fh:
-        _write_rows(fh, columns)
+        _write_rows(fh.write, columns)
 
 
 def write_json(path, payload) -> None:

@@ -107,17 +107,10 @@ def parse_reliability_rows(lines) -> list[CalibrationBin]:
     header = next(reader)
     if tuple(header) != RELIABILITY_COLUMNS:
         raise ValueError(f"unexpected header {header!r}")
-    bins = []
-    for row in reader:
-        lower, upper, count, mean_conf, acc = row
-        bins.append(CalibrationBin(
-            lower=float(lower),
-            upper=float(upper),
-            count=int(count),
-            mean_confidence=None if mean_conf == "" else float(mean_conf),
-            accuracy=None if acc == "" else float(acc),
-        ))
-    return bins
+    return [CalibrationBin(float(lower), float(upper), int(count),
+                           None if mean_conf == "" else float(mean_conf),
+                           None if acc == "" else float(acc))
+            for lower, upper, count, mean_conf, acc in reader]
 
 
 def write_reliability_csv(report: CalibrationReport, path) -> None:

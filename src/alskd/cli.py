@@ -133,7 +133,8 @@ def cmd_ablation(args) -> int:
         try:
             manifest = run_training(cfg, run_dir, method=method, g_kind=g_kind)
         except Exception as exc:
-            raise RuntimeError(f"ablation entry {label!r} failed: {exc}") from exc
+            failure = OSError if isinstance(exc, OSError) else RuntimeError  # I/O exits 4
+            raise failure(f"ablation entry {label!r} failed: {exc}") from exc
         summary = manifest["summary"]
         rows.append({
             "method": label,

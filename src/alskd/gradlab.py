@@ -139,26 +139,23 @@ def ratio_consistency_check(z_student, z_teacher, y, alpha: float, atol: float =
 
 
 @dataclass(frozen=True)
-class PropositionTrial:
-    """One sampled pair: smoothing weights and mean rescaling factors.
+class PropositionReport:
+    """The sampled pairs as columns: trial ``i`` is index ``i`` of each array.
 
-    The ``high``/``low`` suffixes refer to the entropy ordering of the two
-    student distributions; the claim under test is ``w_high > w_low``.
+    ``high``/``low`` name the entropy order of a trial's two students, which
+    share the target class ``target``: ``alpha_*`` are their smoothing weights,
+    ``w_*`` their mean rescaling factors. ``violation`` marks ``w_high > w_low``
+    failing by more than ``PROPOSITION_SLACK``; ``violations`` counts it.
     """
 
-    target: int
-    alpha_high: float
-    alpha_low: float
-    w_high: float
-    w_low: float
-    violation: bool
-
-
-@dataclass(frozen=True)
-class PropositionReport:
     valid_pairs: int
     violations: int
-    trials: list[PropositionTrial]
+    target: np.ndarray
+    alpha_high: np.ndarray
+    alpha_low: np.ndarray
+    w_high: np.ndarray
+    w_low: np.ndarray
+    violation: np.ndarray
 
 
 # Slack on the strict inequality w_high > w_low; differences smaller than
@@ -265,9 +262,9 @@ def proposition1_validate(
         raise ValueError(f"n_trials must be >= 1, got {n_trials!r}")
     rng = np.random.default_rng(seed)
 
-    trials: list[PropositionTrial] = []
-    drawn = 0
-    while len(trials) < n_trials:
+    blocks = []
+    taken = drawn = 0
+    while taken < n_trials:
         size = min(BLOCK_SIZE, max_attempts - drawn)
         if size <= 0:
             raise SamplingExhaustedError(
@@ -275,20 +272,16 @@ def proposition1_validate(
             )
         block = _sample_block(rng, class_count, size)
         drawn += size
-        take = slice(0, n_trials - len(trials))
-        t, s = block.t[take], block.s[take]
-        a_high, a_low = block.alpha_high[take], block.alpha_low[take]
-        bracket = (t - s) / (t - 1.0)
-        w_high = (1.0 - a_high) + a_high * bracket
-        w_low = (1.0 - a_low) + a_low * bracket
-        violation = ~(w_high > w_low - PROPOSITION_SLACK)
-        trials.extend(
-            PropositionTrial(*row)
-            for row in zip(block.target[take].tolist(), a_high.tolist(), a_low.tolist(),
-                           w_high.tolist(), w_low.tolist(), violation.tolist())
-        )
-    violations = sum(trial.violation for trial in trials)
-    return PropositionReport(valid_pairs=len(trials), violations=violations, trials=trials)
+        blocks.append([x[:n_trials - taken] for x in (block.target, block.alpha_high,
+                                                      block.alpha_low, block.t, block.s)])
+        taken += blocks[-1][0].size
+    target, a_high, a_low, t, s = (np.concatenate(column) for column in zip(*blocks))
+    bracket = (t - s) / (t - 1.0)
+    w_high = (1.0 - a_high) + a_high * bracket
+    w_low = (1.0 - a_low) + a_low * bracket
+    violation = ~(w_high > w_low - PROPOSITION_SLACK)
+    return PropositionReport(n_trials, int(violation.sum()), target, a_high, a_low,
+                             w_high, w_low, violation)
 
 
 @dataclass(frozen=True)
@@ -333,13 +326,12 @@ def write_flip_census_csv(census: FlipCensus, path) -> None:
 
 
 def write_proposition_csv(report: PropositionReport, path) -> None:
-    trials = report.trials
     write_csv(path, {
-        "trial": range(len(trials)),
-        "target": [t.target for t in trials],
-        "alpha_high_entropy": [t.alpha_high for t in trials],
-        "alpha_low_entropy": [t.alpha_low for t in trials],
-        "w_high_entropy": [t.w_high for t in trials],
-        "w_low_entropy": [t.w_low for t in trials],
-        "violation": [t.violation for t in trials],
+        "trial": np.arange(report.valid_pairs),
+        "target": report.target,
+        "alpha_high_entropy": report.alpha_high,
+        "alpha_low_entropy": report.alpha_low,
+        "w_high_entropy": report.w_high,
+        "w_low_entropy": report.w_low,
+        "violation": report.violation,
     })

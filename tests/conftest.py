@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 from collections import Counter
 from pathlib import Path
@@ -79,3 +81,24 @@ def counter_bleu(hypotheses, references, max_n=4):
     log_precisions = np.log(matched[realized] / total[realized])
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / max(hyp_len, 1))
     return float(bp * math.exp(log_precisions.mean()))
+
+
+def csv_writer_text(columns: dict, block_rows: int) -> str:
+    """Reference CSV of named, equal-length columns through ``csv.writer``.
+
+    Each block of ``block_rows`` rows goes through ``np.asarray(...).tolist()``
+    per column, bools then become ``true``/``false``, and ``csv.writer``
+    applies its own cell rules: ``repr`` for floats, ``str`` for every other
+    object, an empty field for None.
+    """
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    for start in range(0, len(next(iter(columns.values()))), block_rows):
+        cells = []
+        for column in columns.values():
+            values = np.asarray(column[start:start + block_rows])
+            cells.append((np.where(values, "true", "false") if values.dtype == bool
+                          else values).tolist())
+        writer.writerows(zip(*cells))
+    return buf.getvalue()

@@ -1,15 +1,55 @@
 import ast
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import open_failing_on_write
+from conftest import csv_writer_text, open_failing_on_write
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alskd import artifacts as artifacts_module
-from alskd.artifacts import csv_text, write_csv, write_json
+from alskd.artifacts import BLOCK_ROWS, csv_text, write_csv, write_json
 from alskd.registry import write_checkpoint
 
 SRC = Path(artifacts_module.__file__).parent
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+                     -2.2250738585072014e-308, 1e300, -1e-300, 0.1]))
+INTS = st.integers(-2**63, 2**63 - 1)
+# csv.writer quotes a field holding a delimiter, a quote or a line break
+TEXT = st.text(alphabet=st.sampled_from(list(',"\r\n ab0.-')), max_size=6)
+# per column kind: a pool of cell values and the container built from them. Object
+# columns hold no np.float64: csv.writer writes its repr, "np.float64(x)", the writer str.
+KINDS = {
+    "float_array": (FLOATS, lambda cells: np.array(cells, dtype=np.float64)),
+    "float_list": (FLOATS, list),
+    "int_array": (INTS, lambda cells: np.array(cells, dtype=np.int64)),
+    "int_list": (st.one_of(INTS, INTS.map(np.int64)), list),
+    "bool_list": (st.booleans(), list),
+    "bool_array": (st.booleans(), lambda cells: np.array(cells, dtype=bool)),
+    "text": (st.one_of(TEXT, st.none()), list),
+    "object": (st.one_of(st.none(), TEXT, FLOATS, INTS, INTS.map(np.int64), st.booleans()),
+               list),
+}
+
+
+@st.composite
+def csv_columns(draw):
+    """1-5 named columns of 0-2,100 rows, each cycled from a drawn pool of cells."""
+    names = draw(st.lists(TEXT, min_size=1, max_size=5, unique=True), label="names")
+    n_rows = draw(st.one_of(st.integers(0, 3), st.integers(0, 2100)), label="rows")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    columns = {}
+    for name in names:
+        cells, build = KINDS[draw(st.sampled_from(sorted(KINDS)), label=f"kind of {name!r}")]
+        pool = draw(st.lists(cells, min_size=1, max_size=12), label=f"pool of {name!r}")
+        picks = rng.integers(len(pool), size=n_rows)
+        columns[name] = build([pool[i] for i in picks])
+    return columns
 
 
 class TestCells:
@@ -38,6 +78,21 @@ class TestCells:
 
     def test_no_rows(self):
         assert csv_text({"a": [], "b": []}) == "a,b\r\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_columns())
+    @example({"x": [None, "", None]})
+    @example({"": [""] * (BLOCK_ROWS + 1)})
+    @example({"a": [1, 2.5, np.int64(7), None], "b,\"c": ["x\r\ny", ' "q"', "", None]})
+    def test_columns_match_the_csv_writer(self, columns):
+        """csv_text and write_csv give csv.writer's bytes for every column kind."""
+        expected = csv_writer_text(columns, BLOCK_ROWS)
+        assert csv_text(columns) == expected
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            write_csv(path, columns)
+            assert path.read_bytes() == expected.encode("ascii")
+
 
 
 class TestReplacing:
@@ -115,5 +170,5 @@ def test_only_artifacts_writes_files():
     offenders = {path.name: file_writes(path.read_text())
                  for path in sorted(SRC.glob("*.py")) if path.name != "artifacts.py"}
     assert {name: calls for name, calls in offenders.items() if calls} == {}
-    # the scan does see the writes that artifacts makes
-    assert len(file_writes((SRC / "artifacts.py").read_text())) == 4
+    # the scan does see the writes that artifacts makes: two opens and json.dump
+    assert len(file_writes((SRC / "artifacts.py").read_text())) == 3

@@ -232,6 +232,16 @@ class TestAblationCommand:
         assert code == EXIT_RUNTIME
         assert "base_ce" in capsys.readouterr().err
 
+    def test_io_failure_in_an_entry_exits_with_io_code(self, tmp_path, capsys):
+        cfg = self.ablation_config(tmp_path, "base_ce, adaptive_skd")
+        out = tmp_path / "out"
+        registry = out / "runs" / "base_ce" / "registry"
+        registry.mkdir(parents=True)
+        (registry / "epoch_00001.ckpt").write_bytes(b"ALSK\x01")
+        assert main(["ablation", "--config", str(cfg), "--output", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "base_ce" in err and "epoch_00001.ckpt" in err
+
     def test_missing_method_list(self, tmp_path):
         path = tmp_path / "no_list.ini"
         path.write_text(TINY)

@@ -182,6 +182,9 @@ class TestRatioConsistency:
             assert abs(aggregate - signed) < 1e-10
 
 
+TRIAL_COLUMNS = ("target", "alpha_high", "alpha_low", "w_high", "w_low", "violation")
+
+
 class TestProposition:
     def test_no_violations_across_seeds(self):
         for seed in (0, 3333, 5555):
@@ -191,10 +194,10 @@ class TestProposition:
 
     def test_entropy_ordering_implies_weight_ordering(self):
         report = proposition1_validate(500, 6, seed=1)
-        for trial in report.trials:
+        for i in range(report.valid_pairs):
             # higher entropy must mean smaller smoothing weight
-            assert trial.alpha_high < trial.alpha_low
-            assert trial.w_high > trial.w_low - PROPOSITION_SLACK
+            assert report.alpha_high[i] < report.alpha_low[i]
+            assert report.w_high[i] > report.w_low[i] - PROPOSITION_SLACK
 
     def test_shared_fixed_alpha_collapses_the_ordering(self, rng):
         # with one shared weight (and the shared bracket) the two mean
@@ -252,24 +255,31 @@ class TestProposition:
             assert BLOCK_SIZE // 2 < n <= BLOCK_SIZE
             # the first block's valid rows are the first trials, in order
             report = proposition1_validate(n, class_count, seed)
-            for i, trial in enumerate(report.trials):
+            for i in range(report.valid_pairs):
                 y, t = block.target[i], block.t[i]
                 p_high, p_low = block.p_high[i], block.p_low[i]
-                assert trial.target == y
+                assert report.target[i] == y
                 assert block.h_high[i] == entropy(p_high)
                 assert block.h_low[i] == entropy(p_low)
                 assert block.h_high[i] > block.h_low[i]
-                assert trial.alpha_high == block.alpha_high[i] == adaptive_alpha(p_high)
-                assert trial.alpha_low == block.alpha_low[i] == adaptive_alpha(p_low)
+                assert report.alpha_high[i] == block.alpha_high[i] == adaptive_alpha(p_high)
+                assert report.alpha_low[i] == block.alpha_low[i] == adaptive_alpha(p_low)
                 assert p_high[y] == p_low[y] == t
                 assert block.s[i] < t
 
     def test_same_seed_same_trials(self):
         # 1500 pairs span several blocks; a shorter run is a prefix of a longer one
         first = proposition1_validate(1500, 7, 11)
-        assert proposition1_validate(1500, 7, 11).trials == first.trials
-        assert proposition1_validate(50, 7, 11).trials == first.trials[:50]
-        assert proposition1_validate(50, 7, 12).trials != first.trials[:50]
+        again = proposition1_validate(1500, 7, 11)
+        prefix = proposition1_validate(50, 7, 11)
+        other = proposition1_validate(50, 7, 12)
+        for name in TRIAL_COLUMNS:
+            column = getattr(first, name)
+            assert column.shape == (1500,)
+            assert np.array_equal(getattr(again, name), column)
+            assert np.array_equal(getattr(prefix, name), column[:50])
+        assert not all(np.array_equal(getattr(other, name), getattr(first, name)[:50])
+                       for name in TRIAL_COLUMNS)
 
     def test_csv_artifact(self, tmp_path):
         report = proposition1_validate(50, 5, 0)
@@ -279,7 +289,11 @@ class TestProposition:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 50
         assert all(row["violation"] == "false" for row in rows)
-        assert float(rows[0]["w_high_entropy"]) == pytest.approx(report.trials[0].w_high)
+        for i, row in enumerate(rows):
+            assert int(row["trial"]) == i
+            assert int(row["target"]) == report.target[i]
+            for name in ("alpha_high", "alpha_low", "w_high", "w_low"):
+                assert float(row[f"{name}_entropy"]) == getattr(report, name)[i]
 
 
 class TestFlipCensus:
