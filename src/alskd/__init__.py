@@ -10,7 +10,6 @@ from .calibration import (
     CalibrationBin,
     CalibrationReport,
     calibration_report,
-    parse_reliability_rows,
     reliability_rows,
 )
 from .gradlab import (
@@ -36,7 +35,7 @@ from .losses import (
     unigram_prior,
 )
 from .metrics import mini_bleu
-from .probs import adaptive_alpha, entropy, softmax_with_temperature
+from .probs import adaptive_alpha, alpha_from_entropy, entropy, softmax
 from .registry import (
     CheckpointRegistry,
     CorruptCheckpointError,
@@ -57,47 +56,3 @@ from .trainer import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CalibrationBin",
-    "CalibrationReport",
-    "CheckpointRegistry",
-    "CorruptCheckpointError",
-    "DivergenceError",
-    "DuplicateEpochError",
-    "EpochDiagnostics",
-    "FlipCensus",
-    "GradientReport",
-    "LossBreakdown",
-    "ModelConfig",
-    "NoTeacherError",
-    "PriorDistribution",
-    "PropositionReport",
-    "SamplingExhaustedError",
-    "TeacherHandle",
-    "TrainConfig",
-    "adaptive_alpha",
-    "adaptive_skd_loss",
-    "calibration_report",
-    "ce_loss",
-    "confidence_penalty_loss",
-    "entropy",
-    "evaluate",
-    "evaluate_g",
-    "flip_region_census",
-    "forward_backward",
-    "gradient_ratio",
-    "kd_loss",
-    "label_smoothing_loss",
-    "linear_alpha_schedule",
-    "make_task_data",
-    "mini_bleu",
-    "parse_reliability_rows",
-    "proposition1_validate",
-    "ratio_consistency_check",
-    "reliability_rows",
-    "softmax_with_temperature",
-    "train",
-    "uniform_prior",
-    "unigram_prior",
-]

@@ -37,8 +37,7 @@ def _quote(field: str) -> str:
     return '"' + field.replace('"', '""') + '"' if quoted else field
 
 
-def _fields(column) -> list[str]:
-    values = np.asarray(column)  # one dtype check for the whole column
+def _fields(values: np.ndarray) -> list[str]:
     if values.dtype == bool:
         return np.where(values, "true", "false").tolist()
     if values.dtype.kind in "iuf":  # Python numbers: str of a float is its repr
@@ -51,8 +50,9 @@ BLOCK_ROWS = 1024
 
 
 def _write_rows(write, columns: dict) -> None:
-    starts = range(0, len(next(iter(columns.values()))), BLOCK_ROWS)
-    blocks = ([_fields(c[s:s + BLOCK_ROWS]) for c in columns.values()] for s in starts)
+    arrays = [np.asarray(c) for c in columns.values()]  # one dtype for each whole column
+    starts = range(0, len(arrays[0]), BLOCK_ROWS)
+    blocks = ([_fields(a[s:s + BLOCK_ROWS]) for a in arrays] for s in starts)
     for fields in chain([[[_quote(str(name))] for name in columns]], blocks):
         if len(fields) == 1:  # a lone empty field is quoted, else it reads as no field
             fields = [[f or '""' for f in fields[0]]]

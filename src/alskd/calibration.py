@@ -10,7 +10,6 @@ such gap over non-empty bins, so ECE <= MCE always.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -94,23 +93,11 @@ def reliability_rows(report: CalibrationReport) -> list[str]:
     """CSV lines (header first) with one row per bin, in bin order.
 
     Empty bins render with count 0 and empty statistic fields. Floats are
-    written with ``repr`` so parsing the rows back reproduces the report
-    bins exactly.
+    written with ``repr``, so ``float`` of each field gives back the report
+    bins' values exactly.
     """
     return csv_text({name: [getattr(b, name) for b in report.bins]
                      for name in RELIABILITY_COLUMNS}).splitlines()
-
-
-def parse_reliability_rows(lines) -> list[CalibrationBin]:
-    """Inverse of ``reliability_rows`` (header line required)."""
-    reader = csv.reader(lines)
-    header = next(reader)
-    if tuple(header) != RELIABILITY_COLUMNS:
-        raise ValueError(f"unexpected header {header!r}")
-    return [CalibrationBin(float(lower), float(upper), int(count),
-                           None if mean_conf == "" else float(mean_conf),
-                           None if acc == "" else float(acc))
-            for lower, upper, count, mean_conf, acc in reader]
 
 
 def write_reliability_csv(report: CalibrationReport, path) -> None:

@@ -15,21 +15,18 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .artifacts import write_csv, write_json
 from .calibration import calibration_report, write_reliability_csv
 from .config import ConfigError, RunConfig, load_config
 from .gradlab import (
     SamplingExhaustedError,
     flip_region_census,
-    gradient_ratio_rows,
     proposition1_validate,
+    sampled_ratio_table,
     write_flip_census_csv,
     write_proposition_csv,
+    write_ratios_csv,
 )
-from .losses import mixture_loss_rows
-from .probs import floored_log, softmax_rows
 from .trainer import (
     DivergenceError,
     MissingTeacherError,
@@ -107,8 +104,7 @@ def run_training(cfg: RunConfig, out_dir: Path, *, method: str | None = None,
 
 
 def cmd_train(args) -> int:
-    overrides = list(args.set or [])
-    cfg = load_config(args.config, overrides)
+    cfg = load_config(args.config, args.set or [])
     out_dir = resolve_output_dir(args.output, cfg.output_dir, "runs/train")
     manifest = run_training(cfg, out_dir, seed=args.seed)
     summary = manifest["summary"]
@@ -120,8 +116,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_ablation(args) -> int:
-    overrides = list(args.set or [])
-    cfg = load_config(args.config, overrides)
+    cfg = load_config(args.config, args.set or [])
     entries = cfg.ablation_entries()
     out_dir = resolve_output_dir(args.output, cfg.output_dir, "runs/ablation")
 
@@ -169,47 +164,16 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_gradlab_ratios(args) -> int:
-    if not (0.0 <= args.alpha <= 1.0):
-        raise ConfigError("alpha must lie in [0, 1]", field="alpha")
-    if args.classes < 2 or args.draws < 1:
-        raise ConfigError("need classes >= 2 and draws >= 1")
-    out_dir = resolve_output_dir(args.output, None, "runs/gradlab")
-    rng = np.random.default_rng(args.seed)
-    n, c = args.draws, args.classes
-    # per draw: student logits, teacher logits, target, in this stream order
-    draws = [(rng.normal(size=c), rng.normal(size=c), rng.integers(c)) for _ in range(n)]
-    z_s, z_t, y = (np.array(column) for column in zip(*draws))
-    p_s, p_t = softmax_rows(np.vstack([z_s, z_t])).reshape(2, n, c)
-    # one batch: the cross-entropy rows (alpha 0), then the distillation rows
-    probs = np.vstack([p_s, p_s])
-    g_ce, g_kd = mixture_loss_rows(probs, floored_log(probs), np.tile(y, 2), np.vstack([p_t, p_t]),
-                                   np.repeat([0.0, args.alpha], n))[3].reshape(2, n, c)
-    report = gradient_ratio_rows(p_s, p_t, y, args.alpha)
-    is_target = np.arange(c) == y[:, np.newaxis]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        literal = np.where(g_ce != 0.0, g_kd / g_ce, np.nan)
-    closed = np.where(is_target, report.ratio_target[:, np.newaxis], report.ratio_nontarget)
-    flip = np.where(is_target, report.flip_target[:, np.newaxis], report.flip_nontarget)
-
-    path = out_dir / "ratios.csv"
-    write_csv(path, {
-        "draw": np.repeat(np.arange(n), c),
-        "class_index": np.tile(np.arange(c), n),
-        "is_target": is_target.ravel(),
-        "ce_grad": g_ce.ravel(),
-        "kd_grad": g_kd.ravel(),
-        "literal_ratio": literal.ravel(),
-        "closed_form_ratio": closed.ravel(),
-        "flip": flip.ravel(),
-    })
+    table = sampled_ratio_table(args.draws, args.classes, args.alpha, args.seed)
+    path = resolve_output_dir(args.output, None, "runs/gradlab") / "ratios.csv"
+    write_ratios_csv(table, path)
     print(f"wrote {path}")
     return EXIT_OK
 
 
 def cmd_gradlab_proposition(args) -> int:
     report = proposition1_validate(args.trials, args.classes, args.seed)
-    out_dir = resolve_output_dir(args.output, None, "runs/gradlab")
-    path = out_dir / "proposition.csv"
+    path = resolve_output_dir(args.output, None, "runs/gradlab") / "proposition.csv"
     write_proposition_csv(report, path)
     print(f"valid_pairs={report.valid_pairs} violations={report.violations}")
     print(f"wrote {path}")
@@ -218,8 +182,7 @@ def cmd_gradlab_proposition(args) -> int:
 
 def cmd_gradlab_flipmap(args) -> int:
     census = flip_region_census(args.resolution, args.alpha)
-    out_dir = resolve_output_dir(args.output, None, "runs/gradlab")
-    path = out_dir / "flipmap.csv"
+    path = resolve_output_dir(args.output, None, "runs/gradlab") / "flipmap.csv"
     write_flip_census_csv(census, path)
     print(f"wrote {path} ({census.flip.sum()} of {census.flip.size} cells flip)")
     return EXIT_OK

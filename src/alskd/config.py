@@ -26,10 +26,6 @@ class ConfigError(ValueError):
         self.field = field
 
 
-def _parse_optional_int(text: str):
-    return None if text.strip() == "" else int(text)
-
-
 def _parse_str_list(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
@@ -75,7 +71,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "fixed_alpha": (float, 0.1),
         "beta": (float, 0.78),
         "max_alpha": (float, 0.7),
-        "max_epoch": (_parse_optional_int, None),
         "ablation_methods": (_parse_str_list, None),
     },
     "paths": {
@@ -117,7 +112,7 @@ class RunConfig:
                 momentum=t["momentum"],
                 seed=seed if seed is not None else t["seed"],
                 fixed_alpha=me["fixed_alpha"], beta=me["beta"],
-                max_alpha=me["max_alpha"], max_epoch=me["max_epoch"])
+                max_alpha=me["max_alpha"])
         except ValueError as exc:
             raise ConfigError(str(exc), field="training/method") from exc
 

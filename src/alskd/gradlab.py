@@ -19,15 +19,21 @@ NaN rather than infinity, and consumers count them separately.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .artifacts import write_csv
-from .losses import _check_label, ce_loss, kd_loss
-from .probs import check_prob_dist, exact_entropy_rows, softmax_with_temperature
+from .losses import _check_label, mixture_loss_rows
+from .probs import (
+    alpha_from_entropy,
+    check_prob_dist,
+    exact_entropy_rows,
+    floored_log,
+    softmax,
+    softmax_rows,
+)
 
 
 class SamplingExhaustedError(RuntimeError):
@@ -60,18 +66,23 @@ class GradientReport:
     teacher_less_confident: bool
 
 
+def _check_pair(p_student: np.ndarray, p_teacher: np.ndarray, y, alpha: float) -> int:
+    """Validate a student/teacher pair's lengths, target and weight; return the target."""
+    if p_student.size != p_teacher.size:
+        raise ValueError("student and teacher distributions differ in length")
+    idx = _check_label(y, p_student.size)
+    if not (0.0 <= alpha <= 1.0):
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    return idx
+
+
 def gradient_ratio(p_student, p_teacher, y, alpha: float) -> GradientReport:
     """Closed-form gradient rescaling ratios for one (student, teacher) pair.
 
     Validates its inputs and returns row 0 of ``gradient_ratio_rows``.
     """
-    ps = check_prob_dist(p_student)
-    pt = check_prob_dist(p_teacher)
-    if ps.size != pt.size:
-        raise ValueError("student and teacher distributions differ in length")
-    idx = _check_label(y, ps.size)
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    ps, pt = check_prob_dist(p_student), check_prob_dist(p_teacher)
+    idx = _check_pair(ps, pt, y, alpha)
     rows = gradient_ratio_rows(ps[np.newaxis], pt[np.newaxis], [idx], alpha)
     # per-class fields stay arrays; the others become plain floats and bools
     return GradientReport(**{name: row[0] if row.ndim > 1 else row[0].item()
@@ -109,33 +120,66 @@ def gradient_ratio_rows(p_student, p_teacher, targets, alphas) -> GradientReport
     )
 
 
+class RatioTable(NamedTuple):
+    """The columns of ``ratios.csv`` as (n, C) arrays; cell ``[i, k]`` is class ``k``
+    of row ``i``. ``literal_ratio`` is ``kd_grad / ce_grad``, NaN where ``ce_grad`` is 0.
+    """
+
+    is_target: np.ndarray
+    ce_grad: np.ndarray
+    kd_grad: np.ndarray
+    literal_ratio: np.ndarray
+    closed_form_ratio: np.ndarray
+    flip: np.ndarray
+
+
+def ratio_table(p_student, p_teacher, targets, alpha: float) -> RatioTable:
+    """``RatioTable`` of (n, C) student and teacher distributions, unvalidated.
+
+    Both gradients come from one ``mixture_loss_rows`` batch: the n rows at
+    weight 0, then the n rows at ``alpha``.
+    """
+    y = np.asarray(targets, dtype=np.int64)
+    n, c = p_student.shape
+    probs, priors = np.vstack([p_student, p_student]), np.vstack([p_teacher, p_teacher])
+    g_ce, g_kd = mixture_loss_rows(probs, floored_log(probs), np.tile(y, 2), priors,
+                                   np.repeat([0.0, alpha], n))[3].reshape(2, n, c)
+    report = gradient_ratio_rows(p_student, p_teacher, y, alpha)
+    is_target = np.arange(c) == y[:, np.newaxis]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        literal = np.where(g_ce != 0.0, g_kd / g_ce, np.nan)
+    return RatioTable(is_target, g_ce, g_kd, literal,
+                      np.where(is_target, report.ratio_target[:, np.newaxis], report.ratio_nontarget),
+                      np.where(is_target, report.flip_target[:, np.newaxis], report.flip_nontarget))
+
+
+def sampled_ratio_table(n_draws: int, class_count: int, alpha: float, seed: int) -> RatioTable:
+    """``ratio_table`` of ``n_draws`` draws of, in this stream order, standard
+    normal student logits, standard normal teacher logits and a target class."""
+    if not (0.0 <= alpha <= 1.0) or class_count < 2 or n_draws < 1:
+        raise ValueError("need alpha in [0, 1], class_count >= 2 and n_draws >= 1")
+    rng = np.random.default_rng(seed)
+    c = class_count
+    draws = [(rng.normal(size=c), rng.normal(size=c), rng.integers(c)) for _ in range(n_draws)]
+    z_s, z_t, y = (np.array(column) for column in zip(*draws))
+    p_s, p_t = softmax_rows(np.vstack([z_s, z_t])).reshape(2, n_draws, c)
+    return ratio_table(p_s, p_t, y, alpha)
+
+
 def ratio_consistency_check(z_student, z_teacher, y, alpha: float, atol: float = 1e-9) -> bool:
     """Check the closed-form ratios against the literal gradient quotient.
 
-    Computes the cross-entropy and distillation gradients through the
-    actual loss functions and divides them componentwise; a True result
-    means every defined closed-form ratio matches that literal quotient
-    within ``atol``. Components with a zero cross-entropy gradient are
-    skipped, as is the target component when the teacher is more confident
-    than the student there (the absolute-value target form is an identity
-    only in the less-confident-teacher regime).
+    One validated row of ``ratio_table``: True when the two agree within
+    ``atol`` wherever both are defined. The target component is skipped when
+    the teacher is more confident than the student there: the absolute-value
+    target form is an identity only in the less-confident-teacher regime.
     """
-    _, g_ce = ce_loss(z_student, y)
-    _, g_kd = kd_loss(z_student, z_teacher, y, alpha)
-    report = gradient_ratio(softmax_with_temperature(z_student),
-                            softmax_with_temperature(z_teacher), y, alpha)
-    idx = int(y)
-    for i in range(g_ce.size):
-        if g_ce[i] == 0.0:
-            continue
-        closed = report.ratio_target if i == idx else report.ratio_nontarget[i]
-        if np.isnan(closed):
-            continue
-        if i == idx and not report.teacher_less_confident:
-            continue
-        if abs(g_kd[i] / g_ce[i] - closed) > atol:
-            return False
-    return True
+    ps, pt = softmax(z_student), softmax(z_teacher)
+    idx = _check_pair(ps, pt, y, alpha)
+    table = ratio_table(ps[np.newaxis], pt[np.newaxis], [idx], alpha)
+    off = np.abs(table.literal_ratio[0] - table.closed_form_ratio[0]) > atol  # NaN compares False
+    off[idx] &= pt[idx] <= ps[idx]
+    return not off.any()
 
 
 @dataclass(frozen=True)
@@ -219,8 +263,6 @@ def _sample_block(rng: np.random.Generator, class_count: int, size: int) -> Pair
     a_high = (h_a > h_b)[:, np.newaxis]
     h_high = np.maximum(h_a, h_b)
     h_low = np.minimum(h_a, h_b)
-    # The arithmetic of ``probs.adaptive_alpha``, on the same entropies.
-    log_c = math.log(class_count)
     distinct = h_a != h_b
     return PairBlock(*(x[distinct] for x in (
         target,
@@ -228,8 +270,8 @@ def _sample_block(rng: np.random.Generator, class_count: int, size: int) -> Pair
         np.where(a_high, p_b, p_a),
         h_high,
         h_low,
-        np.clip(1.0 - h_high / log_c, 0.0, 1.0),
-        np.clip(1.0 - h_low / log_c, 0.0, 1.0),
+        alpha_from_entropy(h_high, class_count),
+        alpha_from_entropy(h_low, class_count),
         t,
         s,
     )))
@@ -323,6 +365,12 @@ def write_flip_census_csv(census: FlipCensus, path) -> None:
     write_csv(path, {"p_student_target": census.p_student,
                      "p_teacher_target": census.p_teacher,
                      "flip_target": census.flip})
+
+
+def write_ratios_csv(table: RatioTable, path) -> None:
+    n, c = table.ce_grad.shape
+    write_csv(path, {"draw": np.repeat(np.arange(n), c), "class_index": np.tile(np.arange(c), n),
+                     **{name: column.ravel() for name, column in table._asdict().items()}})
 
 
 def write_proposition_csv(report: PropositionReport, path) -> None:

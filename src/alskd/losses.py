@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probs import adaptive_alpha, check_prob_dist, floored_log, softmax_with_temperature
+from .probs import adaptive_alpha, check_prob_dist, entropy_rows, floored_log, softmax
 
 PRIOR_KINDS = ("uniform", "unigram")
 
@@ -83,14 +83,16 @@ def _mixture_row(z, y, prior: np.ndarray | None, alpha: float | None = None
                  ) -> tuple[LossBreakdown, np.ndarray]:
     """One sample through ``mixture_loss_rows``, as a breakdown and gradient.
 
-    Validates the logits ``z`` and the label ``y``. A None ``prior`` is all
-    zeros; a None ``alpha`` is ``adaptive_alpha`` of the student.
+    Validates the logits ``z``, the label ``y`` and the weight. A None
+    ``prior`` is all zeros; a None ``alpha`` is ``adaptive_alpha`` of the student.
     """
-    p = softmax_with_temperature(z)
+    p = softmax(z)
     idx = _check_label(y, p.size)
     q = np.zeros(p.size) if prior is None else prior
     if q.size != p.size:
         raise ValueError("prior length does not match the class count")
+    if alpha is not None and not (0.0 <= alpha <= 1.0):
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
     a = adaptive_alpha(p) if alpha is None else alpha
     row = p[np.newaxis]
     hard, teacher, total, grad = mixture_loss_rows(row, floored_log(row), [idx], q, a)
@@ -107,8 +109,6 @@ def ce_loss(z, y) -> tuple[LossBreakdown, np.ndarray]:
 
 def label_smoothing_loss(z, y, prior: PriorDistribution, alpha: float) -> tuple[LossBreakdown, np.ndarray]:
     """Cross entropy against the smoothed target ``(1-alpha) * onehot + alpha * q``."""
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
     return _mixture_row(z, y, prior.probs, alpha)
 
 
@@ -119,9 +119,7 @@ def kd_loss(z_student, z_teacher, y, alpha: float) -> tuple[LossBreakdown, np.nd
     distributions. Teacher logits are treated as constants (no gradient
     flows to them), so the gradient is ``P - (1-alpha) * onehot - alpha * P_teacher``.
     """
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    return _mixture_row(z_student, y, softmax_with_temperature(z_teacher), alpha)
+    return _mixture_row(z_student, y, softmax(z_teacher), alpha)
 
 
 def adaptive_skd_loss(z_student, z_teacher, y) -> tuple[LossBreakdown, np.ndarray]:
@@ -134,7 +132,7 @@ def adaptive_skd_loss(z_student, z_teacher, y) -> tuple[LossBreakdown, np.ndarra
     """
     if z_teacher is None:
         raise ValueError("adaptive self-distillation requires teacher logits")
-    return _mixture_row(z_student, y, softmax_with_temperature(z_teacher))
+    return _mixture_row(z_student, y, softmax(z_teacher))
 
 
 def confidence_penalty_loss(z, y, beta: float = 0.78) -> tuple[LossBreakdown, np.ndarray]:
@@ -146,21 +144,21 @@ def confidence_penalty_loss(z, y, beta: float = 0.78) -> tuple[LossBreakdown, np
     """
     if beta < 0:
         raise ValueError(f"beta must be non-negative, got {beta!r}")
-    row = softmax_with_temperature(z)[np.newaxis]
+    row = softmax(z)[np.newaxis]
     total, grad = confidence_penalty_rows(row, floored_log(row), [_check_label(y, row.size)], beta)
     value = float(total[0])
     return LossBreakdown(total=value, hard_term=value, teacher_term=0.0, alpha_used=0.0), grad[0]
 
 
-def linear_alpha_schedule(epoch: int, max_alpha: float, max_epoch: int) -> float:
-    """Linear ramp from 0 to ``max_alpha`` over ``max_epoch`` epochs, then flat."""
+def linear_alpha_schedule(epoch: int, max_alpha: float, epochs: int) -> float:
+    """Linear ramp from 0 to ``max_alpha`` over ``epochs`` epochs, then flat."""
     if epoch < 0:
         raise ValueError(f"epoch must be non-negative, got {epoch!r}")
-    if max_epoch < 1:
-        raise ValueError(f"max_epoch must be >= 1, got {max_epoch!r}")
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs!r}")
     if not (0.0 <= max_alpha <= 1.0):
         raise ValueError(f"max_alpha must lie in [0, 1], got {max_alpha!r}")
-    return float(min(max_alpha, max_alpha * epoch / max_epoch))
+    return float(min(max_alpha, max_alpha * epoch / epochs))
 
 
 def mixture_loss_rows(
@@ -206,7 +204,7 @@ def confidence_penalty_rows(
     p = np.asarray(probs, dtype=np.float64)
     y = np.asarray(targets, dtype=np.int64)
     rows = np.arange(p.shape[0])
-    h = -np.sum(p * logs, axis=1)
+    h = entropy_rows(p, logs)
     total = -logs[rows, y] - beta * h
     grad = p + beta * p * (logs + h[:, None])
     grad[rows, y] -= 1.0

@@ -41,28 +41,14 @@ def check_prob_dist(p) -> np.ndarray:
     return arr
 
 
-def softmax_with_temperature(logits, temperature: float = 1.0) -> np.ndarray:
-    """Temperature-scaled softmax, stabilized by max-subtraction.
-
-    Args:
-        logits: 1-D array of finite reals, length >= 2.
-        temperature: positive scaling applied to the logits before
-            exponentiation; large values flatten the output toward uniform.
-
-    Returns:
-        float64 probability vector of the same length.
-    """
+def softmax(logits) -> np.ndarray:
+    """Softmax of one vector of finite logits, length >= 2: row 0 of ``softmax_rows``."""
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 1 or z.size < 2:
         raise ValueError(f"logits must be a 1-D vector of length >= 2, got shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError("logits must be finite")
-    if not (np.isfinite(temperature) and temperature > 0):
-        raise ValueError(f"temperature must be a positive real, got {temperature!r}")
-    scaled = z / temperature
-    scaled -= scaled.max()
-    e = np.exp(scaled)
-    return e / e.sum()
+    return softmax_rows(z[np.newaxis])[0]
 
 
 def entropy(p) -> float:
@@ -88,21 +74,22 @@ def exact_entropy_rows(probs: np.ndarray) -> np.ndarray:
     return np.array([-math.fsum(row) for row in terms.tolist()], dtype=np.float64)
 
 
-def adaptive_alpha(p) -> float:
-    """Smoothing weight 1 - H(p) / ln(|C|), clamped into [0, 1].
+def alpha_from_entropy(h, n_classes: int):
+    """Smoothing weight ``1 - h / ln|C|`` of an entropy ``h`` (float or array), in [0, 1].
 
-    Peaked (low-entropy) predictions receive a weight near 1, flat
-    predictions a weight near 0. The clamp only absorbs floating-point
-    overshoot; mathematically the ratio already lies in [0, 1].
-
-    The returned value is a plain float computed from the probabilities as
-    data: no gradient path through it exists, and every analytic gradient
+    Peaked predictions get a weight near 1, flat ones near 0; the clip only
+    absorbs rounding overshoot. The weight is data: every analytic gradient
     in this package treats it as a constant.
     """
+    return np.clip(1.0 - h / math.log(n_classes), 0.0, 1.0)
+
+
+def adaptive_alpha(p) -> float:
+    """``alpha_from_entropy`` of a validated distribution's ``entropy``."""
     arr = check_prob_dist(p)
     if arr.size < 2:
         raise ValueError("adaptive smoothing needs at least 2 classes (ln|C| = 0 otherwise)")
-    return min(1.0, max(0.0, 1.0 - entropy(arr) / math.log(arr.size)))
+    return float(alpha_from_entropy(entropy(arr), arr.size))
 
 
 # Row-wise variants used on already-valid softmax outputs (trainer hot path;
@@ -129,5 +116,4 @@ def entropy_rows(probs: np.ndarray, logs: np.ndarray) -> np.ndarray:
 
 def alpha_rows(probs: np.ndarray, logs: np.ndarray) -> np.ndarray:
     """Adaptive smoothing weight of each row, given the rows' ``floored_log``."""
-    alphas = 1.0 - entropy_rows(probs, logs) / np.log(probs.shape[-1])
-    return np.clip(alphas, 0.0, 1.0)
+    return alpha_from_entropy(entropy_rows(probs, logs), probs.shape[-1])

@@ -31,6 +31,7 @@ from .losses import (
     mixture_loss_rows,
     unigram_prior,
 )
+from .metrics import accuracy_score, mean_nll
 from .models import build_model
 from .probs import alpha_rows, floored_log, softmax_rows
 from .registry import CheckpointRegistry, TeacherHandle, evaluate_g
@@ -103,7 +104,6 @@ class TrainConfig:
     fixed_alpha: float = 0.1
     beta: float = 0.78
     max_alpha: float = 0.7
-    max_epoch: int | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -185,8 +185,7 @@ def forward_backward(
     elif alpha_rule == "fixed":
         alphas = np.full(n_kept, cfg.fixed_alpha)
     elif alpha_rule == "linear":
-        max_epoch = cfg.max_epoch if cfg.max_epoch is not None else cfg.epochs
-        alphas = np.full(n_kept, linear_alpha_schedule(epoch, cfg.max_alpha, max_epoch))
+        alphas = np.full(n_kept, linear_alpha_schedule(epoch, cfg.max_alpha, cfg.epochs))
     else:
         alphas = np.zeros(n_kept)
 
@@ -333,10 +332,9 @@ def evaluate(model, params: np.ndarray, dataset) -> EvalResult:
     rows, y, _ = flat_positions(model.forward(params, inputs)[0], targets, mask)
     probs = softmax_rows(rows)
     pred = probs.argmax(axis=-1)
-    picked = probs[np.arange(y.size), y]
     return EvalResult(
-        accuracy=float((pred == y).mean()),
-        mean_nll=float(-floored_log(picked).mean()),
+        accuracy=accuracy_score(pred, y),
+        mean_nll=mean_nll(probs, y),
         confidences=probs.max(axis=-1),
         corrects=pred == y,
     )

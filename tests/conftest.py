@@ -83,22 +83,22 @@ def counter_bleu(hypotheses, references, max_n=4):
     return float(bp * math.exp(log_precisions.mean()))
 
 
-def csv_writer_text(columns: dict, block_rows: int) -> str:
+def csv_writer_text(columns: dict) -> str:
     """Reference CSV of named, equal-length columns through ``csv.writer``.
 
-    Each block of ``block_rows`` rows goes through ``np.asarray(...).tolist()``
-    per column, bools then become ``true``/``false``, and ``csv.writer``
-    applies its own cell rules: ``repr`` for floats, ``str`` for every other
-    object, an empty field for None.
+    Each whole column goes through ``np.asarray(...).tolist()``, so it has
+    one dtype however many rows it holds; bools then become
+    ``true``/``false``, and ``csv.writer`` applies its own cell rules:
+    ``repr`` for floats, ``str`` for every other object, an empty field for
+    None.
     """
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(columns)
-    for start in range(0, len(next(iter(columns.values()))), block_rows):
-        cells = []
-        for column in columns.values():
-            values = np.asarray(column[start:start + block_rows])
-            cells.append((np.where(values, "true", "false") if values.dtype == bool
-                          else values).tolist())
-        writer.writerows(zip(*cells))
+    cells = []
+    for column in columns.values():
+        values = np.asarray(column)
+        cells.append((np.where(values, "true", "false") if values.dtype == bool
+                      else values).tolist())
+    writer.writerows(zip(*cells))
     return buf.getvalue()

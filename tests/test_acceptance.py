@@ -136,7 +136,7 @@ def test_criterion_1_gradient_oracle_suite(rng):
 def test_criterion_2_ratio_identity_suite(rng):
     """Closed-form rescaling ratios equal the literal gradient quotients."""
     from alskd.gradlab import gradient_ratio
-    from alskd.probs import softmax_with_temperature
+    from alskd.probs import softmax
 
     n_draws = 10_000
     target_checked = 0
@@ -148,8 +148,8 @@ def test_criterion_2_ratio_identity_suite(rng):
         assert ratio_consistency_check(z_s, z_t, y, alpha, atol=1e-9)
         # the target closed form is an identity in the less-confident-teacher
         # regime; verify it against the literal quotient there
-        p_s = softmax_with_temperature(z_s)
-        p_t = softmax_with_temperature(z_t)
+        p_s = softmax(z_s)
+        p_t = softmax(z_t)
         if p_t[y] > p_s[y]:
             z_s, z_t = z_t, z_s
             p_s, p_t = p_t, p_s

@@ -76,6 +76,11 @@ class TestCells:
         lines = csv_text({"x": values}).splitlines()
         assert lines[1:] == [repr(v) for v in values.tolist()]
 
+    def test_one_dtype_per_column(self):
+        # the float in the second block makes every int of the column a float
+        lines = csv_text({"x": [1] * BLOCK_ROWS + [1, 2.5]}).splitlines()
+        assert lines[1:] == ["1.0"] * (BLOCK_ROWS + 1) + ["2.5"]
+
     def test_no_rows(self):
         assert csv_text({"a": [], "b": []}) == "a,b\r\n"
 
@@ -86,7 +91,7 @@ class TestCells:
     @example({"a": [1, 2.5, np.int64(7), None], "b,\"c": ["x\r\ny", ' "q"', "", None]})
     def test_columns_match_the_csv_writer(self, columns):
         """csv_text and write_csv give csv.writer's bytes for every column kind."""
-        expected = csv_writer_text(columns, BLOCK_ROWS)
+        expected = csv_writer_text(columns)
         assert csv_text(columns) == expected
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "table.csv"

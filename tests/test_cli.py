@@ -8,7 +8,7 @@ import pytest
 from alskd.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
 from alskd.gradlab import gradient_ratio
 from alskd.losses import ce_loss, kd_loss
-from alskd.probs import softmax_with_temperature
+from alskd.probs import softmax
 
 TINY = """
 [model]
@@ -161,8 +161,7 @@ class TestGradlabCommands:
         rng = np.random.default_rng(3)
         for draw in range(40):
             z_s, z_t, y = rng.normal(size=5), rng.normal(size=5), int(rng.integers(5))
-            report = gradient_ratio(softmax_with_temperature(z_s),
-                                    softmax_with_temperature(z_t), y, 0.6)
+            report = gradient_ratio(softmax(z_s), softmax(z_t), y, 0.6)
             g_ce, g_kd = ce_loss(z_s, y)[1], kd_loss(z_s, z_t, y, 0.6)[1]
             for i, row in enumerate(rows[draw * 5:(draw + 1) * 5]):
                 closed = report.ratio_target if i == y else report.ratio_nontarget[i]

@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from alskd import gradlab
 from alskd.gradlab import (
     BLOCK_SIZE,
     PROPOSITION_SLACK,
@@ -19,7 +21,7 @@ from alskd.gradlab import (
     write_proposition_csv,
 )
 from alskd.losses import ce_loss, kd_loss
-from alskd.probs import adaptive_alpha, entropy, softmax_with_temperature
+from alskd.probs import adaptive_alpha, entropy, softmax
 
 
 def region_draw(rng, n):
@@ -148,6 +150,23 @@ class TestRatioConsistency:
         defined = ~np.isnan(report.ratio_nontarget)
         np.testing.assert_allclose(report.ratio_nontarget[defined], 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("field", ["ratio_nontarget", "ratio_target"])
+    def test_perturbed_closed_form_is_caught(self, monkeypatch, field):
+        # a closed form 1e-6 off must fail the check; the target ratio only
+        # counts where the teacher is no more confident than the student
+        exact = gradlab.gradient_ratio_rows
+
+        def perturbed(*args):
+            report = exact(*args)
+            return dataclasses.replace(report, **{field: getattr(report, field) + 1e-6})
+
+        z = np.array([1.5, 0.2, -0.3, 0.4])
+        cases = [(z, z[::-1], 0), (z[::-1], z, 0)]  # teacher less, then more, confident
+        assert all(ratio_consistency_check(z_s, z_t, y, 0.6) for z_s, z_t, y in cases)
+        monkeypatch.setattr(gradlab, "gradient_ratio_rows", perturbed)
+        caught = [not ratio_consistency_check(z_s, z_t, y, 0.6) for z_s, z_t, y in cases]
+        assert caught == ([True, True] if field == "ratio_nontarget" else [True, False])
+
     def test_one_hot_student_skips_target(self):
         z_s = np.array([200.0, 0.0, 0.0])
         z_t = np.array([0.5, 0.2, 0.1])
@@ -176,8 +195,8 @@ class TestRatioConsistency:
             _, g_kd = kd_loss(z_s, z_t, y, alpha)
             others = [i for i in range(6) if i != y]
             aggregate = g_kd[others].sum() / g_ce[others].sum()
-            p_s = softmax_with_temperature(z_s)
-            p_t = softmax_with_temperature(z_t)
+            p_s = softmax(z_s)
+            p_t = softmax(z_t)
             signed = (1 - alpha) + alpha * (p_s[y] - p_t[y]) / (p_s[y] - 1.0)
             assert abs(aggregate - signed) < 1e-10
 

@@ -16,7 +16,7 @@ from alskd.losses import (
     uniform_prior,
     unigram_prior,
 )
-from alskd.probs import adaptive_alpha, floored_log, softmax_rows, softmax_with_temperature
+from alskd.probs import adaptive_alpha, floored_log, softmax, softmax_rows
 
 
 def logits_for(probs):
@@ -138,7 +138,7 @@ class TestAdaptiveSelfDistillation:
         z_t = logits_for([0.5, 0.3, 0.2])
         bd, grad = adaptive_skd_loss(z, z_t, 0)
         assert bd.alpha_used == pytest.approx(1.0, abs=1e-9)
-        p = softmax_with_temperature(z)
+        p = softmax(z)
         np.testing.assert_allclose(grad, p - [0.5, 0.3, 0.2], atol=1e-8)
 
     def test_known_composition(self):

@@ -7,55 +7,47 @@ from hypothesis import strategies as st
 
 from alskd.probs import (
     adaptive_alpha,
+    alpha_from_entropy,
     alpha_rows,
     entropy,
     entropy_rows,
     floored_log,
+    softmax,
     softmax_rows,
-    softmax_with_temperature,
 )
 
 
 class TestSoftmax:
     def test_equal_logits_give_uniform(self):
-        p = softmax_with_temperature([0.0, 0.0, 0.0, 0.0], 1.0)
+        p = softmax([0.0, 0.0, 0.0, 0.0])
         np.testing.assert_allclose(p, 0.25, atol=1e-15)
-
-    def test_huge_temperature_flattens(self):
-        p = softmax_with_temperature([1.0, 3.0, -2.0, 0.5], 1e6)
-        np.testing.assert_allclose(p, 0.25, atol=1e-5)
 
     def test_known_values(self):
         # direct exponentiate-and-normalize oracle, frozen
-        p = softmax_with_temperature([2.0, 1.0, 0.0], 1.0)
+        p = softmax([2.0, 1.0, 0.0])
         np.testing.assert_allclose(p, [0.66524096, 0.24472847, 0.09003057], atol=1e-8)
 
     def test_sums_to_one_for_wide_logits(self, rng):
         for _ in range(200):
             z = rng.uniform(-50, 50, size=rng.integers(2, 40))
-            p = softmax_with_temperature(z)
+            p = softmax(z)
             assert abs(p.sum() - 1.0) < 1e-9
             assert p.min() >= 0.0
 
     def test_stability_at_extreme_logits(self):
-        p = softmax_with_temperature([700.0, 0.0], 1.0)
+        p = softmax([700.0, 0.0])
         assert np.all(np.isfinite(p))
         assert p[0] > 0.999
 
-    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
-    def test_bad_temperature_rejected(self, temperature):
-        with pytest.raises(ValueError):
-            softmax_with_temperature([1.0, 2.0], temperature)
-
     def test_nonfinite_logits_rejected(self):
         with pytest.raises(ValueError):
-            softmax_with_temperature([1.0, float("inf")])
+            softmax([1.0, float("inf")])
         with pytest.raises(ValueError):
-            softmax_with_temperature([1.0, float("nan")])
+            softmax([1.0, float("nan")])
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
-            softmax_with_temperature([1.0])
+            softmax([1.0])
 
 
 class TestEntropy:
@@ -134,6 +126,13 @@ class TestAdaptiveAlpha:
         with pytest.raises(ValueError):
             adaptive_alpha([1.0])
 
+    def test_rule_clips_into_unit_interval(self):
+        # an entropy past ln|C| would give a negative weight, a negative entropy one above 1
+        assert alpha_from_entropy(math.log(5) * (1 + 1e-12), 5) == 0.0
+        assert alpha_from_entropy(-1e-12, 5) == 1.0
+        np.testing.assert_array_equal(alpha_from_entropy(np.array([2.0, -0.5, 0.0]), 2),
+                                      [0.0, 1.0, 1.0])
+
 
 class TestRowHelpers:
     def test_rows_match_single_sample_ops(self, rng):
@@ -141,6 +140,6 @@ class TestRowHelpers:
         p = softmax_rows(z)
         logs = floored_log(p)
         for i in range(50):
-            np.testing.assert_allclose(p[i], softmax_with_temperature(z[i]), atol=1e-14)
+            np.testing.assert_array_equal(p[i], softmax(z[i]))
             assert entropy_rows(p, logs)[i] == pytest.approx(entropy(p[i]), abs=1e-12)
             assert alpha_rows(p, logs)[i] == pytest.approx(adaptive_alpha(p[i]), abs=1e-12)
