@@ -35,23 +35,21 @@ class CalibrationReport:
     total_count: int
 
 
-def _split_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
-    arr = np.asarray(pairs, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"expected (confidence, correct) pairs, got shape {arr.shape}")
-    return arr[:, 0], arr[:, 1] > 0.5
-
-
 def calibration_report(pairs, n_bins: int = 10) -> CalibrationReport:
     """Bin (confidence, correct) pairs and compute ECE and MCE.
 
-    ``pairs`` is any (n, 2) array-like; the second column is truthy for a
-    correct prediction. Confidences must lie in [0, 1]. Empty bins appear
-    in the output with count 0 and contribute to neither error.
+    ``pairs`` is any (n, 2) array-like of finite values; the second column
+    is truthy for a correct prediction. Confidences must lie in [0, 1]. Empty
+    bins appear in the output with count 0 and contribute to neither error.
     """
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins!r}")
-    conf, correct = _split_pairs(pairs)
+    arr = np.asarray(pairs, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"expected (confidence, correct) pairs, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("(confidence, correct) pairs must be finite")
+    conf, correct = arr[:, 0], arr[:, 1] > 0.5
     if conf.size == 0:
         raise ValueError("need at least one (confidence, correct) pair")
     if conf.min() < 0.0 or conf.max() > 1.0:

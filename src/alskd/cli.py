@@ -30,6 +30,8 @@ from .gradlab import (
 from .trainer import (
     DivergenceError,
     MissingTeacherError,
+    ModelConfig,
+    TrainConfig,
     evaluate,
     make_task_data,
     train,
@@ -53,14 +55,12 @@ def resolve_output_dir(explicit: str | None, configured: str | None, default_nam
     return chosen
 
 
-def run_training(cfg: RunConfig, out_dir: Path, *, method: str | None = None,
-                 g_kind: str | None = None, seed: int | None = None) -> dict:
+def run_training(cfg: RunConfig, model_cfg: ModelConfig, train_cfg: TrainConfig,
+                 out_dir: Path) -> dict:
     """Execute one training run and write its artifact set under ``out_dir``.
 
     Returns the manifest dictionary (already written to disk).
     """
-    model_cfg = cfg.model_config()
-    train_cfg = cfg.train_config(method=method, g_kind=g_kind, seed=seed)
     splits = make_task_data(model_cfg, seed=train_cfg.seed, **cfg.data_kwargs())
 
     registry_dir = out_dir / "registry"
@@ -105,8 +105,9 @@ def run_training(cfg: RunConfig, out_dir: Path, *, method: str | None = None,
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.set or [])
+    model_cfg, train_cfg = cfg.model_config(), cfg.train_config(seed=args.seed)
     out_dir = resolve_output_dir(args.output, cfg.output_dir, "runs/train")
-    manifest = run_training(cfg, out_dir, seed=args.seed)
+    manifest = run_training(cfg, model_cfg, train_cfg, out_dir)
     summary = manifest["summary"]
     print(f"method={manifest['method']} seed={manifest['seed']} "
           f"val_score={summary['final_val_score']:.4f} "
@@ -117,23 +118,25 @@ def cmd_train(args) -> int:
 
 def cmd_ablation(args) -> int:
     cfg = load_config(args.config, args.set or [])
-    entries = cfg.ablation_entries()
+    model_cfg = cfg.model_config()
+    entries = [(label, cfg.train_config(method=method, g_kind=g_kind))
+               for label, method, g_kind in cfg.ablation_entries()]
     out_dir = resolve_output_dir(args.output, cfg.output_dir, "runs/ablation")
 
     rows = []
     run_dirs = []
-    for label, method, g_kind in entries:
+    for label, train_cfg in entries:
         run_dir = out_dir / "runs" / label.replace(":", "_")
         run_dir.mkdir(parents=True, exist_ok=True)
         try:
-            manifest = run_training(cfg, run_dir, method=method, g_kind=g_kind)
+            manifest = run_training(cfg, model_cfg, train_cfg, run_dir)
         except Exception as exc:
             failure = OSError if isinstance(exc, OSError) else RuntimeError  # I/O exits 4
             raise failure(f"ablation entry {label!r} failed: {exc}") from exc
         summary = manifest["summary"]
         rows.append({
             "method": label,
-            "g_kind": g_kind,
+            "g_kind": train_cfg.g_kind,
             "val_score": summary["final_val_score"],
             "test_accuracy": summary["test_accuracy"],
             "test_ece": summary["test_ece"],

@@ -129,7 +129,7 @@ class CheckpointRegistry:
     def __init__(self, root, forward_fn=None, expected_param_count: int | None = None):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._forward_fn = forward_fn
+        self.forward_fn = forward_fn  # (params, inputs) -> logits
         self._expected_param_count = expected_param_count
         # epoch -> (file name, g_kind, val_score), read from the checkpoint headers
         self._entries: dict[int, tuple[str, str, float]] = {}
@@ -194,7 +194,7 @@ class CheckpointRegistry:
         if not candidates:
             raise NoTeacherError(f"no checkpoint precedes epoch {current_epoch}")
         record = self.load(max(candidates, key=self._rank))
-        return TeacherHandle(**vars(record), _forward_fn=self._forward_fn)
+        return TeacherHandle(**vars(record), _forward_fn=self.forward_fn)
 
 
 def evaluate_g(forward_fn, params: np.ndarray, dataset, g_kind: str) -> float:

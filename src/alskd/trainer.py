@@ -1,10 +1,15 @@
 """Desk-scale training loop with per-batch smoothing and per-epoch teacher refresh.
 
+``TrainState.start`` builds a run, ``advance`` trains it one epoch, and
+``train`` loops it. Each epoch resolves its loss once, as data:
+``epoch_loss`` turns the method's row of ``METHODS`` into an ``EpochLoss``
+that ``forward_backward`` applies to every batch. For the self-distillation
+methods, epoch 1 falls back to plain cross entropy (no checkpoint exists
+yet) and every later epoch re-selects its teacher before the first batch.
+
 The loop is single-threaded and deterministic given the root seed. Model
 parameters are float32; losses, smoothing weights, and metrics accumulate
-in float64. For the self-distillation methods, epoch 1 falls back to plain
-cross entropy (no checkpoint exists yet) and every later epoch re-selects
-its teacher from the registry before the first batch.
+in float64.
 """
 
 from __future__ import annotations
@@ -135,31 +140,48 @@ class BatchStats:
     loss: float
     alphas: np.ndarray  # smoothing weight actually used, per non-pad position
     grad: np.ndarray    # flat parameter gradient
-    loss_mode: str
 
 
-@dataclass
-class TrainResult:
-    params: np.ndarray
-    diagnostics: list[EpochDiagnostics]
-    registry: CheckpointRegistry
-    model: object = field(repr=False, default=None)
+class EpochLoss(NamedTuple):
+    """One epoch's ``Method``, resolved before its first batch."""
+
+    mode: str                                 # the method trained; base_ce on a fallback epoch
+    prior: np.ndarray | TeacherHandle | None  # shared vector, a teacher, or None: the penalty
+    alpha: float | None                       # None: the adaptive, per-position weight
+    beta: float                               # the confidence penalty's weight
 
 
-def forward_backward(
-    model,
-    params: np.ndarray,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    *,
-    method: str,
-    epoch: int,
-    cfg: TrainConfig,
-    mask: np.ndarray | None = None,
-    teacher: TeacherHandle | None = None,
-    prior_probs: np.ndarray | None = None,
-) -> BatchStats:
-    """One batch: dispatch to the configured loss and backprop to parameters.
+def epoch_loss(cfg: TrainConfig, epoch: int, n_classes: int, select_teacher,
+               labels) -> EpochLoss:
+    """Resolve ``cfg.method`` at ``epoch`` into the loss of all the epoch's batches.
+
+    ``select_teacher(epoch)`` gives the teacher and ``labels`` are the training
+    labels of the unigram prior; only the methods that need them use them.
+    """
+    mode = cfg.method
+    if METHODS[mode].prior == "teacher" and epoch == 1:  # no checkpoint exists yet
+        mode = "base_ce"
+    kind, rule = METHODS[mode]
+    prior = None  # the confidence penalty has no mixture prior
+    if kind == "teacher":
+        if select_teacher is None:
+            raise MissingTeacherError(
+                f"method {mode!r} needs a teacher past epoch 1 (at epoch {epoch})")
+        prior = select_teacher(epoch)
+    elif kind == "unigram":
+        prior = unigram_prior(labels, n_classes).probs
+    elif kind == "uniform":
+        prior = np.full(n_classes, 1.0 / n_classes)
+    if rule == "linear":
+        alpha = linear_alpha_schedule(epoch, cfg.max_alpha, cfg.epochs)
+    else:
+        alpha = {"zero": 0.0, "fixed": cfg.fixed_alpha, "adaptive": None}[rule]
+    return EpochLoss(mode, prior, alpha, cfg.beta)
+
+
+def forward_backward(model, params: np.ndarray, inputs: np.ndarray, targets: np.ndarray,
+                     loss: EpochLoss, mask: np.ndarray | None = None) -> BatchStats:
+    """One batch: the epoch's loss and its backprop to parameters.
 
     The analytic logit gradient of the loss is composed with the model's
     layerwise chain rule; the batch reduction is the mean over non-pad positions.
@@ -172,42 +194,21 @@ def forward_backward(
     probs = softmax_rows(rows)
     logs = floored_log(probs)
 
-    loss_mode = method
-    if METHODS[method].prior == "teacher" and teacher is None:
-        if epoch == 1:
-            loss_mode = "base_ce"
-        else:
-            raise MissingTeacherError(
-                f"method {method!r} needs a teacher past epoch 1 (at epoch {epoch})")
-    prior, alpha_rule = METHODS[loss_mode]
-    if alpha_rule == "adaptive":
-        alphas = alpha_rows(probs, logs)
-    elif alpha_rule == "fixed":
-        alphas = np.full(n_kept, cfg.fixed_alpha)
-    elif alpha_rule == "linear":
-        alphas = np.full(n_kept, linear_alpha_schedule(epoch, cfg.max_alpha, cfg.epochs))
-    else:
-        alphas = np.zeros(n_kept)
-
+    alphas = alpha_rows(probs, logs) if loss.alpha is None else np.full(n_kept, loss.alpha)
+    prior = loss.prior
     if prior is None:
-        totals, grad_rows = confidence_penalty_rows(probs, logs, y, cfg.beta)
+        totals, grad_rows = confidence_penalty_rows(probs, logs, y, loss.beta)
     else:
-        if prior == "teacher":
-            prior_rows = softmax_rows(flat_positions(teacher.logits(inputs), targets, mask)[0])
-        elif prior == "unigram":
-            if prior_probs is None:
-                raise ValueError("unigram smoothing needs the estimated prior")
-            prior_rows = prior_probs
-        else:
-            prior_rows = np.full(model.n_classes, 1.0 / model.n_classes)
-        _, _, totals, grad_rows = mixture_loss_rows(probs, logs, y, prior_rows, alphas)
+        if isinstance(prior, TeacherHandle):
+            prior = softmax_rows(flat_positions(prior.logits(inputs), targets, mask)[0])
+        _, _, totals, grad_rows = mixture_loss_rows(probs, logs, y, prior, alphas)
 
     dlogits = grad_rows / n_kept
     if keep is not None:  # pad positions get zero gradient
         dlogits, kept = np.zeros_like(logits), dlogits
         dlogits.reshape(keep.size, -1)[keep] = kept
     flat_grad = model.backward(params, cache, dlogits.reshape(logits.shape))
-    return BatchStats(float(totals.mean()), alphas, flat_grad, loss_mode)
+    return BatchStats(float(totals.mean()), alphas, flat_grad)
 
 
 def learning_rate_at(step: int, base: float, warmup_steps: int) -> float:
@@ -222,95 +223,91 @@ def learning_rate_at(step: int, base: float, warmup_steps: int) -> float:
     return base * min((step / warmup_steps) ** 2, math.sqrt(warmup_steps / step))
 
 
+@dataclass
+class TrainState:
+    """A run between two epochs: everything the next epoch reads and advances."""
+
+    model: object = field(repr=False)
+    registry: CheckpointRegistry
+    params: np.ndarray
+    velocity: np.ndarray  # momentum buffer
+    step: int             # optimizer steps taken, which set the learning rate
+    batch_rng: np.random.Generator
+    diagnostics: list[EpochDiagnostics] = field(default_factory=list)
+
+    @property
+    def epoch(self) -> int:
+        """The last epoch completed, 0 before the first."""
+        return len(self.diagnostics)
+
+    @classmethod
+    def start(cls, model_cfg: ModelConfig, cfg: TrainConfig, registry_dir) -> TrainState:
+        """A fresh run; refuses a registry directory that already holds epochs."""
+        model = build_model(**vars(model_cfg))
+        registry = CheckpointRegistry(registry_dir, forward_fn=lambda p, x: model.forward(p, x)[0],
+                                      expected_param_count=model.n_params)
+        if len(registry):
+            raise FileExistsError(f"{registry.root} already holds epochs {registry.epochs()}; "
+                                  "a run starts in a directory without checkpoints")
+        params = model.init_params(cfg.seed)
+        return cls(model, registry, params, np.zeros_like(params), 0,
+                   np.random.default_rng(np.random.SeedSequence([cfg.seed, 1])))
+
+    def advance(self, cfg: TrainConfig, splits: DataSplits) -> None:
+        """Train one epoch, then validate it and checkpoint it for later teacher selection."""
+        epoch = self.epoch + 1
+        inputs, targets, mask = dataset_arrays(splits.train)
+        loss = epoch_loss(cfg, epoch, self.model.n_classes, self.registry.select_teacher,
+                          targets if mask is None else targets[mask])
+        losses, grad_norms, alpha_chunks = [], [], []
+        for batch_index, idx in enumerate(batch_indices(len(inputs), cfg.batch_size,
+                                                        self.batch_rng)):
+            stats = forward_backward(self.model, self.params, inputs[idx], targets[idx], loss,
+                                     None if mask is None else mask[idx])
+            if not math.isfinite(stats.loss):
+                raise DivergenceError(epoch, batch_index)
+            self.step += 1
+            lr = learning_rate_at(self.step, cfg.learning_rate, cfg.warmup_steps)
+            self.velocity *= cfg.momentum
+            self.velocity -= lr * stats.grad
+            self.params = self.params + self.velocity
+            losses.append(stats.loss)
+            g64 = stats.grad.astype(np.float64)
+            grad_norms.append(math.sqrt(g64.dot(g64)))
+            alpha_chunks.append(stats.alphas)
+
+        val_score = evaluate_g(self.registry.forward_fn, self.params, splits.val, cfg.g_kind)
+        self.registry.store(self.params, epoch, val_score, cfg.g_kind)
+
+        alphas = np.concatenate(alpha_chunks)
+        self.diagnostics.append(EpochDiagnostics(
+            epoch=epoch,
+            loss_mode=loss.mode,
+            teacher_epoch=loss.prior.epoch if isinstance(loss.prior, TeacherHandle) else None,
+            mean_alpha=float(alphas.mean()),
+            alpha_std=float(alphas.std()),
+            mean_grad_norm=float(np.mean(grad_norms)),
+            train_loss=float(np.mean(losses)),
+            val_score=float(val_score),
+        ))
+
+
 def train(model_cfg: ModelConfig, cfg: TrainConfig, splits: DataSplits,
-          registry_dir) -> TrainResult:
-    """Run the full training loop and return parameters, diagnostics, registry.
+          registry_dir) -> TrainState:
+    """Start a run and advance it ``cfg.epochs`` epochs; deterministic given the seed.
 
-    Deterministic given the config seed. Every epoch's parameters are
-    checkpointed with their validation score, so later epochs of the
-    self-distillation methods can select the best-generalizing teacher.
+    The registry's ``index.csv`` is written when the run returns or raises.
     """
-    model = build_model(
-        model_cfg.task,
-        input_dim=model_cfg.input_dim,
-        hidden=model_cfg.hidden,
-        n_classes=model_cfg.n_classes,
-        vocab=model_cfg.vocab,
-        embed=model_cfg.embed,
-    )
-    params = model.init_params(cfg.seed)
-    batch_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-
-    def forward_fn(p, x):
-        return model.forward(p, x)[0]
-
-    registry = CheckpointRegistry(
-        registry_dir, forward_fn=forward_fn, expected_param_count=model.n_params)
-
-    inputs, targets, mask = dataset_arrays(splits.train)
-
-    prior_probs = None
-    if METHODS[cfg.method].prior == "unigram":
-        labels = targets if mask is None else targets[mask]
-        prior_probs = unigram_prior(labels, model.n_classes).probs
-
-    velocity = np.zeros_like(params)
-    step = 0
-    diagnostics: list[EpochDiagnostics] = []
-
+    state = TrainState.start(model_cfg, cfg, registry_dir)
     try:
-        for epoch in range(1, cfg.epochs + 1):
-            teacher = None
-            if METHODS[cfg.method].prior == "teacher" and epoch > 1:
-                teacher = registry.select_teacher(epoch)
-
-            losses = []
-            grad_norms = []
-            alpha_chunks = []
-            loss_mode = cfg.method
-            for batch_index, idx in enumerate(batch_indices(len(inputs), cfg.batch_size, batch_rng)):
-                stats = forward_backward(
-                    model, params, inputs[idx], targets[idx],
-                    method=cfg.method, epoch=epoch, cfg=cfg,
-                    mask=None if mask is None else mask[idx],
-                    teacher=teacher,
-                    prior_probs=prior_probs,
-                )
-                if not math.isfinite(stats.loss):
-                    raise DivergenceError(epoch, batch_index)
-                step += 1
-                lr = learning_rate_at(step, cfg.learning_rate, cfg.warmup_steps)
-                velocity *= cfg.momentum
-                velocity -= lr * stats.grad
-                params = params + velocity
-                losses.append(stats.loss)
-                g64 = stats.grad.astype(np.float64)
-                grad_norms.append(math.sqrt(g64.dot(g64)))
-                alpha_chunks.append(stats.alphas)
-                loss_mode = stats.loss_mode
-
-            val_score = evaluate_g(forward_fn, params, splits.val, cfg.g_kind)
-            registry.store(params, epoch, val_score, cfg.g_kind)
-
-            alphas = np.concatenate(alpha_chunks)
-            diagnostics.append(EpochDiagnostics(
-                epoch=epoch,
-                loss_mode=loss_mode,
-                teacher_epoch=None if teacher is None else teacher.epoch,
-                mean_alpha=float(alphas.mean()),
-                alpha_std=float(alphas.std()),
-                mean_grad_norm=float(np.mean(grad_norms)),
-                train_loss=float(np.mean(losses)),
-                val_score=float(val_score),
-            ))
+        while state.epoch < cfg.epochs:
+            state.advance(cfg, splits)
     except BaseException:
         with contextlib.suppress(OSError):  # the error that stopped training is the one raised
-            registry.write_index()
+            state.registry.write_index()
         raise
-    registry.write_index()
-
-    return TrainResult(params=params, diagnostics=diagnostics, registry=registry,
-                       model=model)
+    state.registry.write_index()
+    return state
 
 
 @dataclass(frozen=True)

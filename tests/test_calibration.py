@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -129,6 +130,15 @@ class TestInvariances:
             calibration_report(np.array([[1.5, 1.0]]))
         with pytest.raises(ValueError):
             calibration_report(np.array([0.5, 1.0, 0.2]))
+
+    @pytest.mark.parametrize("pairs", [
+        [[math.nan, 1.0], [0.5, 0.0]],  # a NaN confidence passed the [0, 1] check
+        [[0.5, math.nan], [0.5, 0.0]],  # a NaN correctness counted as wrong
+        [[0.5, math.inf], [0.5, 0.0]],
+    ])
+    def test_non_finite_pairs_rejected(self, pairs):
+        with pytest.raises(ValueError, match="finite"):
+            calibration_report(pairs)
 
 
 class TestReliabilityRows:

@@ -117,6 +117,16 @@ class TestTrainCommand:
         assert main(["train", "--config", str(tiny_config), "--output", str(out)]) == EXIT_IO
         assert "epoch_00001.ckpt" in capsys.readouterr().err
 
+    def test_rerun_into_a_used_directory_is_refused(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(tiny_config), "--output", str(out)]) == EXIT_OK
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(["train", "--config", str(tiny_config), "--output", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(out / "registry") in err and "[1, 2, 3]" in err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     def test_output_root_env(self, tiny_config, tmp_path, monkeypatch):
         monkeypatch.setenv("ALSKD_OUTPUT_ROOT", str(tmp_path / "root"))
         main(["train", "--config", str(tiny_config), "--output", "exp"])
@@ -241,8 +251,31 @@ class TestAblationCommand:
         err = capsys.readouterr().err
         assert "base_ce" in err and "epoch_00001.ckpt" in err
 
+    def test_rerun_into_a_used_directory_is_refused(self, tmp_path, capsys):
+        cfg = self.ablation_config(tmp_path, "base_ce, adaptive_skd")
+        out = tmp_path / "out"
+        assert main(["ablation", "--config", str(cfg), "--output", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["ablation", "--config", str(cfg), "--output", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "base_ce" in err and "already holds epochs [1, 2, 3]" in err
+
     def test_missing_method_list(self, tmp_path):
         path = tmp_path / "no_list.ini"
         path.write_text(TINY)
         assert main(["ablation", "--config", str(path),
                      "--output", str(tmp_path / "out")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command,extra,field", [
+    ("ablation", ["--set", "method.fixed_alpha=2"], "training/method"),
+    ("train", [], "method.name"),  # an ablation config names no method.name
+    ("train", ["--set", "method.name=base_ce", "--set", "model.classes=1"], "model"),
+])
+def test_config_errors_exit_before_anything_is_written(tmp_path, capsys, command, extra, field):
+    path = tmp_path / "ablation.ini"
+    path.write_text(TINY.replace("name = adaptive_skd", "ablation_methods = base_ce, adaptive_skd"))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--output", str(out), *extra]) == EXIT_CONFIG
+    assert f"config error: {field}:" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 from pathlib import Path
@@ -16,9 +17,12 @@ from alskd.trainer import (
     METHODS,
     DivergenceError,
     EpochDiagnostics,
+    EpochLoss,
     MissingTeacherError,
     ModelConfig,
     TrainConfig,
+    TrainState,
+    epoch_loss,
     evaluate,
     forward_backward,
     learning_rate_at,
@@ -42,6 +46,12 @@ def tiny_train_cfg(method, seed=0, epochs=4, **kw):
                     learning_rate=0.2, warmup_steps=10, momentum=0.9, seed=seed)
     defaults.update(kw)
     return TrainConfig(method=method, **defaults)
+
+
+def batch_loss(method, epoch=1, teacher=None, labels=None, n_classes=4, **kw):
+    """The resolved loss of ``method`` at ``epoch``, with ``teacher`` as every epoch's teacher."""
+    return epoch_loss(tiny_train_cfg(method, **kw), epoch, n_classes,
+                      None if teacher is None else lambda e: teacher, labels)
 
 
 class TestDeterminism:
@@ -90,12 +100,8 @@ class TestTeacherLifecycle:
         assert all(b >= a for a, b in zip(scores, scores[1:]))
 
     def test_missing_teacher_past_fallback_epoch(self):
-        cfg, splits = tiny_splits()
-        model = MLPClassifier(cfg.input_dim, cfg.hidden, cfg.n_classes)
-        params = model.init_params(0)
         with pytest.raises(MissingTeacherError):
-            forward_backward(model, params, splits.train.x[:8], splits.train.y[:8],
-                             method="adaptive_skd", epoch=3, cfg=tiny_train_cfg("adaptive_skd"))
+            batch_loss("adaptive_skd", epoch=3)
 
     def test_teacher_refresh_once_per_epoch(self, tmp_path, monkeypatch):
         from alskd.registry import CheckpointRegistry
@@ -123,14 +129,54 @@ class TestTeacherLifecycle:
         np.testing.assert_array_equal(handle.params, teacher_params_before)
 
 
+class TestEpochLoss:
+    # method -> (prior, alpha) at epoch 2 with fixed_alpha 0.3, max_alpha 0.5 and 4 epochs;
+    # the teacher methods train base_ce at epoch 1
+    TABLE = {
+        "base_ce": ("uniform", 0.0),
+        "uniform_ls": ("uniform", 0.3),
+        "unigram_ls": ("unigram", 0.3),
+        "conf_penalty": (None, 0.0),
+        "adaptive_skd": ("teacher", None),
+        "fixed_alpha_skd": ("teacher", 0.3),
+        "adaptive_alpha_uniform": ("uniform", None),
+        "linear_alpha_skd": ("teacher", 0.25),
+    }
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_every_method_at_epochs_one_and_two(self, method):
+        handle = TeacherHandle(epoch=1, val_score=0.5, g_kind="accuracy", params=np.zeros(3))
+        labels = np.array([0, 0, 1, 3])
+        priors = {"uniform": np.full(4, 0.25), "unigram": np.array([3, 2, 1, 2]) / 8,
+                  "teacher": handle, None: None}
+        cfg = tiny_train_cfg(method, fixed_alpha=0.3, max_alpha=0.5, beta=0.6)
+        selected = []
+
+        def select_teacher(epoch):
+            selected.append(epoch)
+            return handle
+
+        prior, alpha = self.TABLE[method]
+        first = ("base_ce", "uniform", 0.0) if prior == "teacher" else (method, prior, alpha)
+        for loss, (mode, kind, weight) in [
+                (epoch_loss(cfg, 1, 4, None, labels), first),
+                (epoch_loss(cfg, 2, 4, select_teacher, labels), (method, prior, alpha))]:
+            assert isinstance(loss, EpochLoss)
+            assert (loss.mode, loss.alpha, loss.beta) == (mode, weight, 0.6)
+            if isinstance(priors[kind], np.ndarray):
+                assert loss.prior.tobytes() == priors[kind].tobytes()
+            else:
+                assert loss.prior is priors[kind]
+        assert selected == ([2] if prior == "teacher" else [])
+
+
 class TestForwardBackward:
     def test_uniform_smoothing_matches_per_sample_loss(self):
         cfg, splits = tiny_splits()
         model = MLPClassifier(cfg.input_dim, cfg.hidden, cfg.n_classes)
         params = model.init_params(1)
         x, y = splits.train.x[:1], splits.train.y[:1]
-        stats = forward_backward(model, params, x, y, method="uniform_ls", epoch=1,
-                                 cfg=tiny_train_cfg("uniform_ls", fixed_alpha=0.1))
+        stats = forward_backward(model, params, x, y, batch_loss("uniform_ls", fixed_alpha=0.1))
         logits, cache = model.forward(params, x)
         _, logit_grad = label_smoothing_loss(logits[0], int(y[0]), uniform_prior(4), 0.1)
         expected = model.backward(params, cache, logit_grad[None, :])
@@ -150,11 +196,9 @@ class TestForwardBackward:
         handle = TeacherHandle(epoch=1, val_score=0.0, g_kind="accuracy",
                                params=frozen, _forward_fn=fwd)
         alpha = 0.4
-        skd = forward_backward(model, params, x, y, method="fixed_alpha_skd", epoch=2,
-                               cfg=tiny_train_cfg("fixed_alpha_skd", fixed_alpha=alpha),
-                               teacher=handle)
-        ce = forward_backward(model, params, x, y, method="base_ce", epoch=1,
-                              cfg=tiny_train_cfg("base_ce"))
+        skd = forward_backward(model, params, x, y, batch_loss(
+            "fixed_alpha_skd", epoch=2, teacher=handle, fixed_alpha=alpha))
+        ce = forward_backward(model, params, x, y, batch_loss("base_ce"))
         np.testing.assert_allclose(skd.grad, (1 - alpha) * ce.grad, atol=1e-6)
 
     def test_single_sample_end_to_end_finite_difference(self, rng):
@@ -162,11 +206,11 @@ class TestForwardBackward:
         params = model.init_params(0, dtype=np.float64)
         x = rng.normal(size=(1, 3))
         y = np.array([1])
-        cfg = tiny_train_cfg("base_ce")
-        stats = forward_backward(model, params, x, y, method="base_ce", epoch=1, cfg=cfg)
+        loss = batch_loss("base_ce", n_classes=3)
+        stats = forward_backward(model, params, x, y, loss)
 
         def loss_of(p):
-            return forward_backward(model, p, x, y, method="base_ce", epoch=1, cfg=cfg).loss
+            return forward_backward(model, p, x, y, loss).loss
 
         fd = central_difference(loss_of, params, step=1e-6)
         assert rel_error(stats.grad, fd) < 1e-4
@@ -183,14 +227,12 @@ class TestForwardBackward:
         teacher_params.flags.writeable = False
         handle = TeacherHandle(epoch=1, val_score=0.0, g_kind="accuracy",
                                params=teacher_params, _forward_fn=fwd)
-        prior = np.full(4, 0.25)
         x, y = splits.train.x[:16], splits.train.y[:16]
         for method in ("base_ce", "uniform_ls", "unigram_ls", "conf_penalty",
                        "adaptive_skd", "fixed_alpha_skd", "adaptive_alpha_uniform",
                        "linear_alpha_skd"):
-            stats = forward_backward(
-                model, params, x, y, method=method, epoch=2,
-                cfg=tiny_train_cfg(method), teacher=handle, prior_probs=prior)
+            stats = forward_backward(model, params, x, y, batch_loss(
+                method, epoch=2, teacher=handle, labels=splits.train.y))
             assert np.isfinite(stats.loss)
             assert np.all((stats.alphas >= 0) & (stats.alphas <= 1))
 
@@ -208,10 +250,9 @@ class TestForwardBackward:
         x, y = (splits.train.x, splits.train.y) if task == "classification" else (
             splits.train.inputs, splits.train.targets)
         x, y = x[:24], y[:24]
-        kwargs = dict(method=method, epoch=2, cfg=tiny_train_cfg(method), teacher=handle,
-                      prior_probs=np.full(model.n_classes, 1.0 / model.n_classes))
-        bare = forward_backward(model, params, x, y, **kwargs)
-        masked = forward_backward(model, params, x, y, mask=np.ones(y.shape, bool), **kwargs)
+        loss = batch_loss(method, epoch=2, teacher=handle, labels=y, n_classes=model.n_classes)
+        bare = forward_backward(model, params, x, y, loss)
+        masked = forward_backward(model, params, x, y, loss, mask=np.ones(y.shape, bool))
         assert bare.loss == masked.loss
         assert bare.alphas.tobytes() == masked.alphas.tobytes()
         assert bare.grad.tobytes() == masked.grad.tobytes()
@@ -239,11 +280,11 @@ class TestSequenceTask:
         data = splits.train
         corrupted = data.targets.copy()
         corrupted[~data.mask] = 3  # junk labels on padding only
-        cfg_t = tiny_train_cfg("base_ce")
-        a = forward_backward(model, params, data.inputs[:16], data.targets[:16],
-                             mask=data.mask[:16], method="base_ce", epoch=1, cfg=cfg_t)
-        b = forward_backward(model, params, data.inputs[:16], corrupted[:16],
-                             mask=data.mask[:16], method="base_ce", epoch=1, cfg=cfg_t)
+        loss = batch_loss("base_ce", n_classes=model.n_classes)
+        a = forward_backward(model, params, data.inputs[:16], data.targets[:16], loss,
+                             mask=data.mask[:16])
+        b = forward_backward(model, params, data.inputs[:16], corrupted[:16], loss,
+                             mask=data.mask[:16])
         assert a.loss == b.loss
         np.testing.assert_array_equal(a.grad, b.grad)
         assert a.alphas.size == int(data.mask[:16].sum())
@@ -263,12 +304,18 @@ class TestTrainingLoop:
     @pytest.mark.parametrize("index_fails", [False, True])
     def test_divergence_leaves_the_index_of_finished_epochs(self, tmp_path, monkeypatch,
                                                             index_fails):
-        real = trainer.forward_backward
+        real_loss, real = trainer.epoch_loss, trainer.forward_backward
+        epochs = []
 
-        def diverging_at_epoch_3(*args, epoch, **kwargs):
-            stats = real(*args, epoch=epoch, **kwargs)
-            return dataclasses.replace(stats, loss=math.nan) if epoch == 3 else stats
+        def recording_epoch(cfg, epoch, *args):
+            epochs.append(epoch)
+            return real_loss(cfg, epoch, *args)
 
+        def diverging_at_epoch_3(*args, **kwargs):
+            stats = real(*args, **kwargs)
+            return dataclasses.replace(stats, loss=math.nan) if epochs[-1] == 3 else stats
+
+        monkeypatch.setattr(trainer, "epoch_loss", recording_epoch)
         monkeypatch.setattr(trainer, "forward_backward", diverging_at_epoch_3)
         if index_fails:  # a failed index write does not hide the divergence
             monkeypatch.setattr(artifacts, "open",
@@ -324,8 +371,8 @@ class TestTrainingLoop:
         for epoch in range(1, cfg_t.epochs + 1):
             losses, norms, alphas = [], [], []
             for idx in batch_indices(len(x), cfg_t.batch_size, batch_rng):
-                stats = forward_backward(model, params, x[idx], y[idx], method=cfg_t.method,
-                                         epoch=epoch, cfg=cfg_t)
+                stats = forward_backward(model, params, x[idx], y[idx],
+                                         epoch_loss(cfg_t, epoch, cfg.n_classes, None, y))
                 step += 1
                 warm = cfg_t.warmup_steps
                 lr = cfg_t.learning_rate * min((step / warm) ** 2, math.sqrt(warm / step))
@@ -368,6 +415,39 @@ class TestTrainingLoop:
         cfg, splits = tiny_splits()
         r = train(cfg, tiny_train_cfg("base_ce", epochs=5), splits, tmp_path / "run")
         assert r.registry.epochs() == [1, 2, 3, 4, 5]
+
+
+class TestTrainState:
+    @pytest.mark.parametrize("task", ["classification", "seq_transduction"])
+    def test_a_copied_state_continues_as_train_does(self, tmp_path, task):
+        cfg, splits = tiny_splits(task=task)
+        cfg_t = tiny_train_cfg("adaptive_skd", epochs=4,
+                               g_kind="accuracy" if task == "classification" else "mini_bleu")
+        expected = train(cfg, cfg_t, splits, tmp_path / "train")
+
+        state = TrainState.start(cfg, cfg_t, tmp_path / "stepped")
+        assert state.epoch == 0
+        state.advance(cfg_t, splits)
+        state.advance(cfg_t, splits)
+        original, state = state, copy.deepcopy(state)
+        # scribble on the original: the copy must own every piece of loop state
+        original.velocity[:] = 1.0
+        original.batch_rng.random(7)
+        original.diagnostics.clear()
+        assert state.epoch == 2
+        while state.epoch < cfg_t.epochs:
+            state.advance(cfg_t, splits)
+        assert state.params.tobytes() == expected.params.tobytes()
+        assert state.diagnostics == expected.diagnostics
+
+    def test_start_refuses_a_used_registry(self, tmp_path):
+        cfg, splits = tiny_splits()
+        cfg_t = tiny_train_cfg("base_ce", epochs=2)
+        train(cfg, cfg_t, splits, tmp_path / "run")
+        before = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+        with pytest.raises(FileExistsError, match=r"run.*\[1, 2\]"):
+            train(cfg, cfg_t, splits, tmp_path / "run")
+        assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == before
 
 
 class TestEvaluate:
