@@ -24,7 +24,6 @@ from .gradlab import (
 )
 from .losses import (
     LossBreakdown,
-    PriorDistribution,
     adaptive_skd_loss,
     ce_loss,
     confidence_penalty_loss,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import csv_text, replacing
+from .artifacts import csv_text, write_csv
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,10 @@ def calibration_report(pairs, n_bins: int = 10) -> CalibrationReport:
 RELIABILITY_COLUMNS = ("lower", "upper", "count", "mean_confidence", "accuracy")
 
 
+def _reliability_columns(report: CalibrationReport) -> dict:
+    return {name: [getattr(b, name) for b in report.bins] for name in RELIABILITY_COLUMNS}
+
+
 def reliability_rows(report: CalibrationReport) -> list[str]:
     """CSV lines (header first) with one row per bin, in bin order.
 
@@ -94,10 +98,9 @@ def reliability_rows(report: CalibrationReport) -> list[str]:
     written with ``repr``, so ``float`` of each field gives back the report
     bins' values exactly.
     """
-    return csv_text({name: [getattr(b, name) for b in report.bins]
-                     for name in RELIABILITY_COLUMNS}).splitlines()
+    return csv_text(_reliability_columns(report)).splitlines()
 
 
 def write_reliability_csv(report: CalibrationReport, path) -> None:
-    with replacing(path) as fh:
-        fh.write("\n".join(reliability_rows(report)) + "\n")
+    """``reliability_rows`` as a CSV file."""
+    write_csv(path, _reliability_columns(report))

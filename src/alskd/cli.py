@@ -104,8 +104,9 @@ def run_training(cfg: RunConfig, model_cfg: ModelConfig, train_cfg: TrainConfig,
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config, args.set or [])
-    model_cfg, train_cfg = cfg.model_config(), cfg.train_config(seed=args.seed)
+    seed = [] if args.seed is None else [f"training.seed={args.seed}"]
+    cfg = load_config(args.config, [*(args.set or []), *seed])  # --seed wins over --set
+    model_cfg, train_cfg = cfg.model_config(), cfg.train_config()
     out_dir = resolve_output_dir(args.output, cfg.output_dir, "runs/train")
     manifest = run_training(cfg, model_cfg, train_cfg, out_dir)
     summary = manifest["summary"]
@@ -117,19 +118,23 @@ def cmd_train(args) -> int:
 
 
 def cmd_ablation(args) -> int:
-    cfg = load_config(args.config, args.set or [])
+    overrides = args.set or []
+    cfg = load_config(args.config, overrides)
     model_cfg = cfg.model_config()
-    entries = [(label, cfg.train_config(method=method, g_kind=g_kind))
-               for label, method, g_kind in cfg.ablation_entries()]
+    entries = []
+    for label, method, g_kind in cfg.ablation_entries():  # the shared config, with the entry's method
+        entry_cfg = load_config(args.config, [*overrides, f"method.name={method}",
+                                              f"method.g_kind={g_kind}"])
+        entries.append((label, entry_cfg, entry_cfg.train_config()))
     out_dir = resolve_output_dir(args.output, cfg.output_dir, "runs/ablation")
 
     rows = []
     run_dirs = []
-    for label, train_cfg in entries:
+    for label, entry_cfg, train_cfg in entries:
         run_dir = out_dir / "runs" / label.replace(":", "_")
         run_dir.mkdir(parents=True, exist_ok=True)
         try:
-            manifest = run_training(cfg, model_cfg, train_cfg, run_dir)
+            manifest = run_training(entry_cfg, model_cfg, train_cfg, run_dir)
         except Exception as exc:
             failure = OSError if isinstance(exc, OSError) else RuntimeError  # I/O exits 4
             raise failure(f"ablation entry {label!r} failed: {exc}") from exc

@@ -96,21 +96,17 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc), field="model") from exc
 
-    def train_config(self, method: str | None = None, g_kind: str | None = None,
-                     seed: int | None = None) -> TrainConfig:
+    def train_config(self) -> TrainConfig:
         t = self.values["training"]
         me = self.values["method"]
-        name = method if method is not None else me["name"]
-        if name is None:
+        if me["name"] is None:
             raise ConfigError("a method name is required", field="method.name")
         try:
             return TrainConfig(
-                method=name,
-                g_kind=g_kind if g_kind is not None else me["g_kind"],
+                method=me["name"], g_kind=me["g_kind"],
                 epochs=t["epochs"], batch_size=t["batch_size"],
                 learning_rate=t["learning_rate"], warmup_steps=t["warmup_steps"],
-                momentum=t["momentum"],
-                seed=seed if seed is not None else t["seed"],
+                momentum=t["momentum"], seed=t["seed"],
                 fixed_alpha=me["fixed_alpha"], beta=me["beta"],
                 max_alpha=me["max_alpha"])
         except ValueError as exc:

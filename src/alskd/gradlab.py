@@ -89,6 +89,11 @@ def gradient_ratio(p_student, p_teacher, y, alpha: float) -> GradientReport:
                              for name, row in vars(rows).items()})
 
 
+def _target_ratio(ps_y, pt_y, alpha):
+    """Closed-form target ratio from the target probabilities; negative where it flips."""
+    return (1.0 - alpha) - alpha * np.abs(ps_y - pt_y) / np.abs(ps_y - 1.0)
+
+
 def gradient_ratio_rows(p_student, p_teacher, targets, alphas) -> GradientReport:
     """``gradient_ratio`` of each row of (n, C) student and teacher distributions.
 
@@ -104,7 +109,7 @@ def gradient_ratio_rows(p_student, p_teacher, targets, alphas) -> GradientReport
     ps_y, pt_y = ps[rows, y], pt[rows, y]
     # P(y) = 1 and P(i) = 0 divide by zero; those ratios are undefined (NaN)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio_target = (1.0 - a) - a * np.abs(ps_y - pt_y) / np.abs(ps_y - 1.0)
+        ratio_target = _target_ratio(ps_y, pt_y, a)
         ratio_nontarget = 1.0 - a[:, np.newaxis] * pt / ps
     ratio_target[ps_y == 1.0] = np.nan
     ratio_nontarget[ps == 0.0] = np.nan
@@ -357,8 +362,8 @@ def flip_region_census(grid_resolution: int, alpha: float) -> FlipCensus:
     keep = pt <= ps
     ps = ps[keep]
     pt = pt[keep]
-    flip = (1.0 - alpha) < alpha * np.abs(ps - pt) / np.abs(ps - 1.0)
-    return FlipCensus(alpha=float(alpha), p_student=ps, p_teacher=pt, flip=flip)
+    return FlipCensus(alpha=float(alpha), p_student=ps, p_teacher=pt,
+                      flip=_target_ratio(ps, pt, alpha) < 0.0)
 
 
 def write_flip_census_csv(census: FlipCensus, path) -> None:

@@ -18,30 +18,15 @@ import numpy as np
 
 from .probs import adaptive_alpha, check_prob_dist, entropy_rows, floored_log, softmax
 
-PRIOR_KINDS = ("uniform", "unigram")
 
-
-@dataclass(frozen=True)
-class PriorDistribution:
-    """A fixed prior label distribution used to soften one-hot targets."""
-
-    kind: str
-    probs: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in PRIOR_KINDS:
-            raise ValueError(f"unknown prior kind {self.kind!r}, expected one of {PRIOR_KINDS}")
-        object.__setattr__(self, "probs", check_prob_dist(self.probs))
-
-
-def uniform_prior(n_classes: int) -> PriorDistribution:
+def uniform_prior(n_classes: int) -> np.ndarray:
     """Uniform prior over ``n_classes`` labels."""
     if n_classes < 2:
         raise ValueError("need at least 2 classes")
-    return PriorDistribution("uniform", np.full(n_classes, 1.0 / n_classes))
+    return np.full(n_classes, 1.0 / n_classes)
 
 
-def unigram_prior(labels, n_classes: int) -> PriorDistribution:
+def unigram_prior(labels, n_classes: int) -> np.ndarray:
     """Unigram prior estimated from training labels with add-one smoothing.
 
     Add-one smoothing keeps the prior strictly positive on classes that
@@ -53,7 +38,7 @@ def unigram_prior(labels, n_classes: int) -> PriorDistribution:
     if y.size and (y.min() < 0 or y.max() >= n_classes):
         raise ValueError("labels out of range for the declared class count")
     counts = np.bincount(y, minlength=n_classes).astype(np.float64) + 1.0
-    return PriorDistribution("unigram", counts / counts.sum())
+    return counts / counts.sum()
 
 
 @dataclass(frozen=True)
@@ -107,9 +92,10 @@ def ce_loss(z, y) -> tuple[LossBreakdown, np.ndarray]:
     return _mixture_row(z, y, None, 0.0)
 
 
-def label_smoothing_loss(z, y, prior: PriorDistribution, alpha: float) -> tuple[LossBreakdown, np.ndarray]:
-    """Cross entropy against the smoothed target ``(1-alpha) * onehot + alpha * q``."""
-    return _mixture_row(z, y, prior.probs, alpha)
+def label_smoothing_loss(z, y, prior, alpha: float) -> tuple[LossBreakdown, np.ndarray]:
+    """Cross entropy against the smoothed target ``(1-alpha) * onehot + alpha * q``,
+    for a fixed prior distribution ``q`` such as ``uniform_prior`` or ``unigram_prior``."""
+    return _mixture_row(z, y, check_prob_dist(prior), alpha)
 
 
 def kd_loss(z_student, z_teacher, y, alpha: float) -> tuple[LossBreakdown, np.ndarray]:

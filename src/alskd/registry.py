@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import replacing, write_csv
-from .data import SequenceData, dataset_arrays, flat_positions
+from .data import Split, flat_positions
 from .metrics import accuracy_score, corpus_bleu, mean_nll
 from .probs import softmax_rows
 
@@ -197,23 +197,22 @@ class CheckpointRegistry:
         return TeacherHandle(**vars(record), _forward_fn=self.forward_fn)
 
 
-def evaluate_g(forward_fn, params: np.ndarray, dataset, g_kind: str) -> float:
+def evaluate_g(forward_fn, params: np.ndarray, dataset: Split, g_kind: str) -> float:
     """Validation-set generalization score used to rank teacher candidates."""
     if g_kind not in G_KINDS:
         raise ValueError(f"unknown g_kind {g_kind!r}, expected one of {G_KINDS}")
     if len(dataset) == 0:
         raise ValueError("validation set must be non-empty")
-
-    if isinstance(dataset, SequenceData) and g_kind == "mini_bleu":
+    mask = dataset.mask
+    if g_kind == "mini_bleu" and mask is None:
+        raise ValueError("mini_bleu requires a sequence task")
+    logits = forward_fn(params, dataset.inputs)
+    if g_kind == "mini_bleu":
         # greedy decode: the per-position argmax of each sequence, up to its length
-        mask = dataset.mask
-        hyp = forward_fn(params, dataset.inputs).argmax(axis=-1)[mask]
+        hyp = logits.argmax(axis=-1)[mask]
         return corpus_bleu(np.concatenate([hyp, dataset.targets[mask]]),
                            np.tile(mask.sum(axis=1), 2))
-    if g_kind == "mini_bleu":
-        raise ValueError("mini_bleu requires a sequence task")
-    inputs, targets, mask = dataset_arrays(dataset)
-    logits, y, _ = flat_positions(forward_fn(params, inputs), targets, mask)
+    logits, y, _ = flat_positions(logits, dataset.targets, mask)
     if g_kind == "accuracy":
         return accuracy_score(logits.argmax(axis=-1), y)
     return mean_nll(softmax_rows(logits), y)

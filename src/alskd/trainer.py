@@ -24,16 +24,17 @@ import numpy as np
 from .artifacts import write_csv
 from .data import (
     DataSplits,
+    Split,
     batch_indices,
-    dataset_arrays,
+    copy_substitution,
     flat_positions,
-    make_copy_substitution,
-    make_gaussian_mixture,
+    gaussian_mixture,
 )
 from .losses import (
     confidence_penalty_rows,
     linear_alpha_schedule,
     mixture_loss_rows,
+    uniform_prior,
     unigram_prior,
 )
 from .metrics import accuracy_score, mean_nll
@@ -169,9 +170,9 @@ def epoch_loss(cfg: TrainConfig, epoch: int, n_classes: int, select_teacher,
                 f"method {mode!r} needs a teacher past epoch 1 (at epoch {epoch})")
         prior = select_teacher(epoch)
     elif kind == "unigram":
-        prior = unigram_prior(labels, n_classes).probs
+        prior = unigram_prior(labels, n_classes)
     elif kind == "uniform":
-        prior = np.full(n_classes, 1.0 / n_classes)
+        prior = uniform_prior(n_classes)
     if rule == "linear":
         alpha = linear_alpha_schedule(epoch, cfg.max_alpha, cfg.epochs)
     else:
@@ -256,7 +257,7 @@ class TrainState:
     def advance(self, cfg: TrainConfig, splits: DataSplits) -> None:
         """Train one epoch, then validate it and checkpoint it for later teacher selection."""
         epoch = self.epoch + 1
-        inputs, targets, mask = dataset_arrays(splits.train)
+        inputs, targets, mask = splits.train.inputs, splits.train.targets, splits.train.mask
         loss = epoch_loss(cfg, epoch, self.model.n_classes, self.registry.select_teacher,
                           targets if mask is None else targets[mask])
         losses, grad_norms, alpha_chunks = [], [], []
@@ -323,10 +324,10 @@ class EvalResult:
         return np.column_stack([self.confidences, self.corrects.astype(np.float64)])
 
 
-def evaluate(model, params: np.ndarray, dataset) -> EvalResult:
+def evaluate(model, params: np.ndarray, dataset: Split) -> EvalResult:
     """Accuracy, mean NLL, and per-position (confidence, correct) pairs."""
-    inputs, targets, mask = dataset_arrays(dataset)
-    rows, y, _ = flat_positions(model.forward(params, inputs)[0], targets, mask)
+    rows, y, _ = flat_positions(model.forward(params, dataset.inputs)[0], dataset.targets,
+                                dataset.mask)
     probs = softmax_rows(rows)
     pred = probs.argmax(axis=-1)
     return EvalResult(
@@ -351,13 +352,14 @@ def make_task_data(model_cfg: ModelConfig, *, train_size: int, val_size: int,
                    test_size: int, label_noise: float, seed: int,
                    separation: float = 0.6, min_len: int = 4,
                    max_len: int = 9) -> DataSplits:
-    """Generate the synthetic dataset matching a model configuration."""
+    """Generate the synthetic dataset matching a model configuration.
+
+    One generator seeded with ``seed`` draws the task, then the train,
+    validation and test splits, in that order; only training gets label noise.
+    """
+    rng = np.random.default_rng(seed)
     if model_cfg.task == "classification":
-        return make_gaussian_mixture(
-            n_classes=model_cfg.n_classes, input_dim=model_cfg.input_dim,
-            n_train=train_size, n_val=val_size, n_test=test_size,
-            label_noise=label_noise, seed=seed, separation=separation)
-    return make_copy_substitution(
-        vocab=model_cfg.vocab, n_train=train_size, n_val=val_size,
-        n_test=test_size, min_len=min_len, max_len=max_len,
-        label_noise=label_noise, seed=seed)
+        draw = gaussian_mixture(model_cfg.n_classes, model_cfg.input_dim, separation, rng)
+    else:
+        draw = copy_substitution(model_cfg.vocab, min_len, max_len, rng)
+    return DataSplits(draw(train_size, label_noise), draw(val_size, 0.0), draw(test_size, 0.0))

@@ -177,3 +177,17 @@ def test_only_artifacts_writes_files():
     assert {name: calls for name, calls in offenders.items() if calls} == {}
     # the scan does see the writes that artifacts makes: two opens and json.dump
     assert len(file_writes((SRC / "artifacts.py").read_text())) == 3
+
+
+def test_only_the_binary_writer_opens_files_through_replacing():
+    """Text files go through write_csv or write_json, so every CSV has one line format;
+    only the checkpoint writer in ``registry`` opens a file with ``replacing``."""
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(
+                node, "name", None)
+            if name == "replacing":
+                users.add(path.name)
+    # equality, not a subset: the scan does see the checkpoint writer's use
+    assert users == {"artifacts.py", "registry.py"}

@@ -81,6 +81,24 @@ class TestTrainCommand:
               "--seed", "3333"])
         assert manifest_of(out)["seed"] == 3333
 
+    def test_manifest_config_records_the_seed_flag(self, tiny_config, tmp_path):
+        out = tmp_path / "out"
+        main(["train", "--config", str(tiny_config), "--output", str(out),
+              "--seed", "3333", "--set", "training.seed=4"])  # the flag wins over --set
+        manifest = manifest_of(out)
+        assert manifest["seed"] == manifest["config"]["training"]["seed"] == 3333
+        assert manifest["method"] == manifest["config"]["method"]["name"] == "adaptive_skd"
+        assert manifest["g_kind"] == manifest["config"]["method"]["g_kind"] == "accuracy"
+
+    def test_every_csv_row_ends_with_crlf(self, tiny_config, tmp_path):
+        out = tmp_path / "out"
+        main(["train", "--config", str(tiny_config), "--output", str(out)])
+        paths = sorted(out.rglob("*.csv"))
+        assert [p.name for p in paths] == ["calibration.csv", "diagnostics.csv", "index.csv"]
+        for path in paths:
+            data = path.read_bytes()
+            assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n"), path.name
+
     def test_dotted_override(self, tiny_config, tmp_path):
         out = tmp_path / "out"
         main(["train", "--config", str(tiny_config), "--output", str(out),
@@ -220,6 +238,19 @@ class TestAblationCommand:
         assert [r["method"] for r in rows] == ["base_ce", "adaptive_skd"]
         stdout = capsys.readouterr().out
         assert "base_ce" in stdout and "adaptive_skd" in stdout
+
+    def test_entry_manifests_record_the_entry(self, tmp_path):
+        cfg = self.ablation_config(tmp_path, "base_ce, adaptive_skd:nll")
+        out = tmp_path / "out"
+        assert main(["ablation", "--config", str(cfg), "--output", str(out),
+                     "--set", "training.seed=2"]) == EXIT_OK
+        for run, method, g_kind in [("base_ce", "base_ce", "accuracy"),
+                                    ("adaptive_skd_nll", "adaptive_skd", "nll")]:
+            manifest = manifest_of(out / "runs" / run)
+            config = manifest["config"]
+            assert (manifest["method"], manifest["g_kind"], manifest["seed"]) == (method, g_kind, 2)
+            assert (config["method"]["name"], config["method"]["g_kind"],
+                    config["training"]["seed"]) == (method, g_kind, 2)
 
     def test_repeat_invocation_is_identical(self, tmp_path):
         cfg = self.ablation_config(tmp_path, "base_ce, adaptive_skd:nll")

@@ -270,7 +270,7 @@ class TestBatchedRows:
         y = rng.integers(0, 6, size=40)
         q = uniform_prior(6)
         probs = softmax_rows(z)
-        hard, teacher, total, grad = mixture_loss_rows(probs, floored_log(probs), y, q.probs, 0.15)
+        hard, teacher, total, grad = mixture_loss_rows(probs, floored_log(probs), y, q, 0.15)
         for i in range(40):
             bd, g = label_smoothing_loss(z[i], int(y[i]), q, 0.15)
             assert total[i] == bd.total
@@ -324,12 +324,24 @@ class TestBatchedRows:
 class TestPriors:
     def test_unigram_add_one(self):
         prior = unigram_prior([0, 0, 1], 3)
-        np.testing.assert_allclose(prior.probs, [3 / 6, 2 / 6, 1 / 6])
+        np.testing.assert_allclose(prior, [3 / 6, 2 / 6, 1 / 6])
 
     def test_unigram_never_zero(self):
         prior = unigram_prior([0] * 100, 4)
-        assert prior.probs.min() > 0
+        assert prior.min() > 0
 
     def test_label_range_checked(self):
         with pytest.raises(ValueError):
             unigram_prior([0, 5], 3)
+
+    @pytest.mark.parametrize("prior", [[-0.1, 0.6, 0.5], [0.2, 0.2, 0.2], [0.5, 0.6, -0.1],
+                                       [[0.2, 0.3, 0.5]], [np.nan, 0.5, 0.5]])
+    def test_label_smoothing_rejects_an_invalid_prior(self, prior):
+        with pytest.raises(ValueError):
+            label_smoothing_loss([0.3, -0.2, 1.0], 0, prior, 0.1)
+
+    def test_label_smoothing_takes_any_distribution(self):
+        bd, grad = label_smoothing_loss([0.3, -0.2, 1.0], 0, [0.2, 0.3, 0.5], 0.1)
+        kd, kd_grad = kd_loss([0.3, -0.2, 1.0], np.log([0.2, 0.3, 0.5]), 0, 0.1)
+        assert bd.total == pytest.approx(kd.total, abs=1e-12)
+        np.testing.assert_allclose(grad, kd_grad, atol=1e-12)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alskd import artifacts as artifacts_module
-from alskd.data import PAD_ID, ClassificationData, SequenceData
+from alskd.data import PAD_ID, Split
 from alskd.metrics import mini_bleu
 from alskd.registry import (
     CheckpointRegistry,
@@ -28,7 +28,7 @@ def registry(tmp_path):
 def greedy_decode(forward_fn, params, data):
     """Per-position argmax decode of each sequence, truncated at its length."""
     pred = forward_fn(params, data.inputs).argmax(axis=-1)
-    return [pred[i, : int(n)].tolist() for i, n in enumerate(data.lengths)]
+    return [pred[i, : int(n)].tolist() for i, n in enumerate(data.mask.sum(axis=1))]
 
 
 def linear_forward(params, x):
@@ -272,14 +272,14 @@ class TestTeacherSelection:
 class TestEvaluateG:
     def test_accuracy_all_correct(self, rng):
         w = np.eye(3, dtype=np.float32).ravel()  # identity scorer
-        data = ClassificationData(x=np.eye(3, dtype=np.float32), y=np.arange(3))
+        data = Split(np.eye(3, dtype=np.float32), np.arange(3))
         assert evaluate_g(linear_forward, w, data, "accuracy") == 1.0
 
     def test_nll_matches_manual(self, rng):
         w = rng.normal(size=(4, 5)).astype(np.float32)
         x = rng.normal(size=(20, 5)).astype(np.float32)
         y = rng.integers(0, 4, size=20)
-        data = ClassificationData(x=x, y=y)
+        data = Split(x, y)
         logits = linear_forward(w.ravel(), x)
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
@@ -300,8 +300,7 @@ class TestEvaluateG:
         inputs = np.array([[1, 2, 3, 0], [4, 1, 0, 0]])
         targets = (inputs % 4) + 1
         targets[inputs == 0] = 0
-        data = SequenceData(inputs=inputs, targets=targets,
-                            lengths=np.array([3, 2]))
+        data = Split(inputs, targets, inputs != PAD_ID)
         assert evaluate_g(seq_forward, np.zeros(1, np.float32), data, "mini_bleu") == 1.0
         hyps = greedy_decode(seq_forward, np.zeros(1, np.float32), data)
         assert hyps == [[2, 3, 4], [1, 2]]
@@ -318,8 +317,8 @@ class TestEvaluateG:
         targets = np.array(data.draw(grid, label="targets"))
         targets[np.arange(t) >= lengths[:, None]] = PAD_ID
         # the "model" emits its input as a one-hot row: predictions, pads included
-        split = SequenceData(inputs=np.array(data.draw(grid, label="predictions")),
-                             targets=targets, lengths=lengths)
+        split = Split(np.array(data.draw(grid, label="predictions")), targets,
+                      np.arange(t) < lengths[:, None])
 
         def one_hot(params, inputs):
             return np.eye(vocab)[inputs]
@@ -330,16 +329,16 @@ class TestEvaluateG:
         assert score == mini_bleu(hyps, refs) == counter_bleu(hyps, refs)
 
     def test_mini_bleu_needs_sequences(self):
-        data = ClassificationData(x=np.zeros((2, 3), np.float32), y=np.zeros(2, np.int64))
+        data = Split(np.zeros((2, 3), np.float32), np.zeros(2, np.int64))
         with pytest.raises(ValueError):
             evaluate_g(linear_forward, np.zeros(6, np.float32), data, "mini_bleu")
 
     def test_empty_validation_set(self):
-        data = ClassificationData(x=np.zeros((0, 3), np.float32), y=np.zeros(0, np.int64))
+        data = Split(np.zeros((0, 3), np.float32), np.zeros(0, np.int64))
         with pytest.raises(ValueError):
             evaluate_g(linear_forward, np.zeros(6, np.float32), data, "accuracy")
 
     def test_unknown_metric(self):
-        data = ClassificationData(x=np.zeros((1, 2), np.float32), y=np.zeros(1, np.int64))
+        data = Split(np.zeros((1, 2), np.float32), np.zeros(1, np.int64))
         with pytest.raises(ValueError):
             evaluate_g(linear_forward, np.zeros(4, np.float32), data, "rouge")

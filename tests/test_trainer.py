@@ -8,7 +8,7 @@ import pytest
 from conftest import central_difference, open_failing_on_write, rel_error
 
 from alskd import artifacts, trainer
-from alskd.data import batch_indices
+from alskd.data import PAD_ID, batch_indices
 from alskd.losses import label_smoothing_loss, uniform_prior
 from alskd.models import MLPClassifier, build_model
 from alskd.probs import alpha_rows, floored_log, softmax_rows
@@ -52,6 +52,24 @@ def batch_loss(method, epoch=1, teacher=None, labels=None, n_classes=4, **kw):
     """The resolved loss of ``method`` at ``epoch``, with ``teacher`` as every epoch's teacher."""
     return epoch_loss(tiny_train_cfg(method, **kw), epoch, n_classes,
                       None if teacher is None else lambda e: teacher, labels)
+
+
+class TestTaskData:
+    def test_sequence_mask_is_the_non_pad_prefix(self):
+        _, splits = tiny_splits(task="seq_transduction")
+        for split in (splits.train, splits.val, splits.test):
+            np.testing.assert_array_equal(split.mask, split.inputs != PAD_ID)
+            lengths = split.mask.sum(axis=1)
+            assert lengths.min() >= 1
+            np.testing.assert_array_equal(  # each row: real positions, then padding
+                split.mask, np.arange(split.inputs.shape[1]) < lengths[:, None])
+            np.testing.assert_array_equal(split.targets != PAD_ID, split.mask)
+
+    def test_classification_splits_have_no_mask(self):
+        _, splits = tiny_splits()
+        for split in (splits.train, splits.val, splits.test):
+            assert split.mask is None
+            assert len(split) == len(split.targets) == split.inputs.shape[0]
 
 
 class TestDeterminism:
@@ -124,7 +142,7 @@ class TestTeacherLifecycle:
         handle = r.registry.select_teacher(3)
         params_before = r.params.copy()
         teacher_params_before = handle.params.copy()
-        handle.logits(splits.val.x)
+        handle.logits(splits.val.inputs)
         np.testing.assert_array_equal(r.params, params_before)
         np.testing.assert_array_equal(handle.params, teacher_params_before)
 
@@ -175,7 +193,7 @@ class TestForwardBackward:
         cfg, splits = tiny_splits()
         model = MLPClassifier(cfg.input_dim, cfg.hidden, cfg.n_classes)
         params = model.init_params(1)
-        x, y = splits.train.x[:1], splits.train.y[:1]
+        x, y = splits.train.inputs[:1], splits.train.targets[:1]
         stats = forward_backward(model, params, x, y, batch_loss("uniform_ls", fixed_alpha=0.1))
         logits, cache = model.forward(params, x)
         _, logit_grad = label_smoothing_loss(logits[0], int(y[0]), uniform_prior(4), 0.1)
@@ -186,7 +204,7 @@ class TestForwardBackward:
         cfg, splits = tiny_splits()
         model = MLPClassifier(cfg.input_dim, cfg.hidden, cfg.n_classes)
         params = model.init_params(2)
-        x, y = splits.train.x[:16], splits.train.y[:16]
+        x, y = splits.train.inputs[:16], splits.train.targets[:16]
 
         def fwd(p, inputs):
             return model.forward(p, inputs)[0]
@@ -227,12 +245,12 @@ class TestForwardBackward:
         teacher_params.flags.writeable = False
         handle = TeacherHandle(epoch=1, val_score=0.0, g_kind="accuracy",
                                params=teacher_params, _forward_fn=fwd)
-        x, y = splits.train.x[:16], splits.train.y[:16]
+        x, y = splits.train.inputs[:16], splits.train.targets[:16]
         for method in ("base_ce", "uniform_ls", "unigram_ls", "conf_penalty",
                        "adaptive_skd", "fixed_alpha_skd", "adaptive_alpha_uniform",
                        "linear_alpha_skd"):
             stats = forward_backward(model, params, x, y, batch_loss(
-                method, epoch=2, teacher=handle, labels=splits.train.y))
+                method, epoch=2, teacher=handle, labels=splits.train.targets))
             assert np.isfinite(stats.loss)
             assert np.all((stats.alphas >= 0) & (stats.alphas <= 1))
 
@@ -247,9 +265,7 @@ class TestForwardBackward:
         teacher_params.flags.writeable = False
         handle = TeacherHandle(epoch=1, val_score=0.0, g_kind="accuracy", params=teacher_params,
                                _forward_fn=lambda p, inputs: model.forward(p, inputs)[0])
-        x, y = (splits.train.x, splits.train.y) if task == "classification" else (
-            splits.train.inputs, splits.train.targets)
-        x, y = x[:24], y[:24]
+        x, y = splits.train.inputs[:24], splits.train.targets[:24]
         loss = batch_loss(method, epoch=2, teacher=handle, labels=y, n_classes=model.n_classes)
         bare = forward_backward(model, params, x, y, loss)
         masked = forward_backward(model, params, x, y, loss, mask=np.ones(y.shape, bool))
@@ -364,7 +380,7 @@ class TestTrainingLoop:
         model = MLPClassifier(cfg.input_dim, cfg.hidden, cfg.n_classes)
         params = model.init_params(cfg_t.seed)
         batch_rng = np.random.default_rng(np.random.SeedSequence([cfg_t.seed, 1]))
-        x, y = splits.train.x, splits.train.y
+        x, y = splits.train.inputs, splits.train.targets
         velocity = np.zeros_like(params)
         step = 0
         expected = []
