@@ -40,13 +40,12 @@ from .registry import (
     CorruptCheckpointError,
     DuplicateEpochError,
     NoTeacherError,
-    TeacherHandle,
-    evaluate_g,
 )
 from .trainer import (
     DivergenceError,
     EpochDiagnostics,
     ModelConfig,
+    TeacherHandle,
     TrainConfig,
     evaluate,
     forward_backward,

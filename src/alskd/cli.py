@@ -17,9 +17,8 @@ from pathlib import Path
 
 from .artifacts import write_csv, write_json
 from .calibration import calibration_report, write_reliability_csv
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
 from .gradlab import (
-    SamplingExhaustedError,
     flip_region_census,
     proposition1_validate,
     sampled_ratio_table,
@@ -28,8 +27,6 @@ from .gradlab import (
     write_ratios_csv,
 )
 from .trainer import (
-    DivergenceError,
-    MissingTeacherError,
     ModelConfig,
     TrainConfig,
     evaluate,
@@ -87,7 +84,7 @@ def run_training(cfg: RunConfig, model_cfg: ModelConfig, train_cfg: TrainConfig,
         "summary": {
             "final_val_score": result.diagnostics[-1].val_score,
             "test_accuracy": test_eval.accuracy,
-            "test_mean_nll": test_eval.mean_nll,
+            "test_mean_nll": test_eval.nll,
             "test_ece": report.ece,
             "test_mce": report.mce,
         },
@@ -249,9 +246,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -259,7 +253,7 @@ def main(argv=None) -> int:
         # invalid option values surface as usage errors
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DivergenceError, MissingTeacherError, SamplingExhaustedError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -61,8 +61,6 @@ def gaussian_mixture(n_classes: int, input_dim: int, separation: float,
     means = rng.normal(0.0, separation, size=(n_classes, input_dim))
 
     def draw(n: int, noise: float) -> Split:
-        if not (0.0 <= noise < 1.0):
-            raise ValueError(f"label_noise must lie in [0, 1), got {noise!r}")
         y = rng.integers(0, n_classes, size=n)
         x = means[y] + rng.normal(0.0, 1.0, size=(n, input_dim))
         if noise > 0.0:

@@ -1,4 +1,4 @@
-"""Checkpoint persistence and self-teacher selection.
+"""Checkpoint persistence and self-teacher ranking; the registry never runs a model.
 
 Checkpoints are written in a deliberately simple binary layout so any
 language can parse them: a fixed header (magic ``ALSK``, format version,
@@ -25,9 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import replacing, write_csv
-from .data import Split, flat_positions
-from .metrics import accuracy_score, corpus_bleu, mean_nll
-from .probs import softmax_rows
 
 MAGIC = b"ALSK"
 FORMAT_VERSION = 1
@@ -58,26 +55,6 @@ class CheckpointRecord:
     params: np.ndarray  # float32, read-only
     val_score: float
     g_kind: str
-
-
-@dataclass(frozen=True)
-class TeacherHandle:
-    """Read-only view of a stored checkpoint with forward-pass capability.
-
-    The parameter array is frozen and the handle only ever runs forward
-    passes; it never touches gradient state.
-    """
-
-    epoch: int
-    val_score: float
-    g_kind: str
-    params: np.ndarray
-    _forward_fn: object = None
-
-    def logits(self, inputs) -> np.ndarray:
-        if self._forward_fn is None:
-            raise RuntimeError("registry was created without a forward function")
-        return self._forward_fn(self.params, inputs)
 
 
 def write_checkpoint(path, params: np.ndarray, epoch: int, val_score: float, g_kind: str) -> None:
@@ -126,10 +103,9 @@ class CheckpointRegistry:
     INDEX_NAME = "index.csv"
     CHECKPOINT_NAME = "epoch_{:05d}.ckpt"
 
-    def __init__(self, root, forward_fn=None, expected_param_count: int | None = None):
+    def __init__(self, root, expected_param_count: int | None = None):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.forward_fn = forward_fn  # (params, inputs) -> logits
         self._expected_param_count = expected_param_count
         # epoch -> (file name, g_kind, val_score), read from the checkpoint headers
         self._entries: dict[int, tuple[str, str, float]] = {}
@@ -188,31 +164,10 @@ class CheckpointRegistry:
         name, _, _ = self._entries[epoch]
         return read_checkpoint(self.root / name)
 
-    def select_teacher(self, current_epoch: int) -> TeacherHandle:
+    def select_teacher(self, current_epoch: int) -> CheckpointRecord:
         """Best-generalizing checkpoint among epochs strictly before ``current_epoch``."""
         candidates = [e for e in self._entries if e < current_epoch]
         if not candidates:
             raise NoTeacherError(f"no checkpoint precedes epoch {current_epoch}")
-        record = self.load(max(candidates, key=self._rank))
-        return TeacherHandle(**vars(record), _forward_fn=self.forward_fn)
+        return self.load(max(candidates, key=self._rank))
 
-
-def evaluate_g(forward_fn, params: np.ndarray, dataset: Split, g_kind: str) -> float:
-    """Validation-set generalization score used to rank teacher candidates."""
-    if g_kind not in G_KINDS:
-        raise ValueError(f"unknown g_kind {g_kind!r}, expected one of {G_KINDS}")
-    if len(dataset) == 0:
-        raise ValueError("validation set must be non-empty")
-    mask = dataset.mask
-    if g_kind == "mini_bleu" and mask is None:
-        raise ValueError("mini_bleu requires a sequence task")
-    logits = forward_fn(params, dataset.inputs)
-    if g_kind == "mini_bleu":
-        # greedy decode: the per-position argmax of each sequence, up to its length
-        hyp = logits.argmax(axis=-1)[mask]
-        return corpus_bleu(np.concatenate([hyp, dataset.targets[mask]]),
-                           np.tile(mask.sum(axis=1), 2))
-    logits, y, _ = flat_positions(logits, dataset.targets, mask)
-    if g_kind == "accuracy":
-        return accuracy_score(logits.argmax(axis=-1), y)
-    return mean_nll(softmax_rows(logits), y)

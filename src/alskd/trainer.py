@@ -5,7 +5,8 @@
 ``epoch_loss`` turns the method's row of ``METHODS`` into an ``EpochLoss``
 that ``forward_backward`` applies to every batch. For the self-distillation
 methods, epoch 1 falls back to plain cross entropy (no checkpoint exists
-yet) and every later epoch re-selects its teacher before the first batch.
+yet) and every later epoch runs a ``TeacherHandle``: the model on the best
+earlier checkpoint. ``evaluate`` scores every split, validation and test.
 
 The loop is single-threaded and deterministic given the root seed. Model
 parameters are float32; losses, smoothing weights, and metrics accumulate
@@ -37,10 +38,10 @@ from .losses import (
     uniform_prior,
     unigram_prior,
 )
-from .metrics import accuracy_score, mean_nll
+from .metrics import accuracy_score, corpus_bleu, mean_nll
 from .models import build_model
 from .probs import alpha_rows, floored_log, softmax_rows
-from .registry import CheckpointRegistry, TeacherHandle, evaluate_g
+from .registry import G_KINDS, CheckpointRecord, CheckpointRegistry
 
 class Method(NamedTuple):
     """Cross entropy against ``(1-alpha) * onehot + alpha * prior``, as data.
@@ -114,6 +115,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {tuple(METHODS)}")
+        if self.g_kind not in G_KINDS:
+            raise ValueError(f"unknown g_kind {self.g_kind!r}, expected one of {G_KINDS}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
         if not (0.0 <= self.fixed_alpha <= 1.0 and 0.0 <= self.max_alpha <= 1.0):
@@ -141,6 +144,17 @@ class BatchStats:
     loss: float
     alphas: np.ndarray  # smoothing weight actually used, per non-pad position
     grad: np.ndarray    # flat parameter gradient
+
+
+@dataclass(frozen=True)
+class TeacherHandle:
+    """A stored checkpoint and the model that runs it; it only ever runs forward passes."""
+
+    checkpoint: CheckpointRecord
+    model: object = field(repr=False)
+
+    def logits(self, inputs) -> np.ndarray:
+        return self.model.forward(self.checkpoint.params, inputs)[0]
 
 
 class EpochLoss(NamedTuple):
@@ -244,9 +258,10 @@ class TrainState:
     @classmethod
     def start(cls, model_cfg: ModelConfig, cfg: TrainConfig, registry_dir) -> TrainState:
         """A fresh run; refuses a registry directory that already holds epochs."""
+        if cfg.g_kind == "mini_bleu" and model_cfg.task != "seq_transduction":
+            raise ValueError("mini_bleu requires a sequence task")
         model = build_model(**vars(model_cfg))
-        registry = CheckpointRegistry(registry_dir, forward_fn=lambda p, x: model.forward(p, x)[0],
-                                      expected_param_count=model.n_params)
+        registry = CheckpointRegistry(registry_dir, expected_param_count=model.n_params)
         if len(registry):
             raise FileExistsError(f"{registry.root} already holds epochs {registry.epochs()}; "
                                   "a run starts in a directory without checkpoints")
@@ -258,7 +273,8 @@ class TrainState:
         """Train one epoch, then validate it and checkpoint it for later teacher selection."""
         epoch = self.epoch + 1
         inputs, targets, mask = splits.train.inputs, splits.train.targets, splits.train.mask
-        loss = epoch_loss(cfg, epoch, self.model.n_classes, self.registry.select_teacher,
+        loss = epoch_loss(cfg, epoch, self.model.n_classes,
+                          lambda e: TeacherHandle(self.registry.select_teacher(e), self.model),
                           targets if mask is None else targets[mask])
         losses, grad_norms, alpha_chunks = [], [], []
         for batch_index, idx in enumerate(batch_indices(len(inputs), cfg.batch_size,
@@ -277,14 +293,15 @@ class TrainState:
             grad_norms.append(math.sqrt(g64.dot(g64)))
             alpha_chunks.append(stats.alphas)
 
-        val_score = evaluate_g(self.registry.forward_fn, self.params, splits.val, cfg.g_kind)
+        val_score = getattr(evaluate(self.model, self.params, splits.val), cfg.g_kind)
         self.registry.store(self.params, epoch, val_score, cfg.g_kind)
 
         alphas = np.concatenate(alpha_chunks)
         self.diagnostics.append(EpochDiagnostics(
             epoch=epoch,
             loss_mode=loss.mode,
-            teacher_epoch=loss.prior.epoch if isinstance(loss.prior, TeacherHandle) else None,
+            teacher_epoch=(loss.prior.checkpoint.epoch if isinstance(loss.prior, TeacherHandle)
+                           else None),
             mean_alpha=float(alphas.mean()),
             alpha_std=float(alphas.std()),
             mean_grad_norm=float(np.mean(grad_norms)),
@@ -313,8 +330,11 @@ def train(model_cfg: ModelConfig, cfg: TrainConfig, splits: DataSplits,
 
 @dataclass(frozen=True)
 class EvalResult:
+    """One split's scores; the first three are the ``G_KINDS`` that rank checkpoints."""
+
     accuracy: float
-    mean_nll: float
+    nll: float
+    mini_bleu: float | None  # None on a split without a mask
     confidences: np.ndarray  # max predictive probability per position
     corrects: np.ndarray     # bool per position
 
@@ -324,15 +344,18 @@ class EvalResult:
         return np.column_stack([self.confidences, self.corrects.astype(np.float64)])
 
 
-def evaluate(model, params: np.ndarray, dataset: Split) -> EvalResult:
-    """Accuracy, mean NLL, and per-position (confidence, correct) pairs."""
-    rows, y, _ = flat_positions(model.forward(params, dataset.inputs)[0], dataset.targets,
-                                dataset.mask)
+def evaluate(model, params: np.ndarray, split: Split) -> EvalResult:
+    """Accuracy, mean NLL, corpus BLEU of the greedy decode, and per-position
+    (confidence, correct) pairs of one split, which must not be empty."""
+    mask = split.mask
+    rows, y, _ = flat_positions(model.forward(params, split.inputs)[0], split.targets, mask)
     probs = softmax_rows(rows)
-    pred = probs.argmax(axis=-1)
+    pred = rows.argmax(axis=-1)  # the greedy decode of every real position, in order
     return EvalResult(
         accuracy=accuracy_score(pred, y),
-        mean_nll=mean_nll(probs, y),
+        nll=mean_nll(probs, y),
+        mini_bleu=None if mask is None else corpus_bleu(np.concatenate([pred, y]),
+                                                        np.tile(mask.sum(axis=1), 2)),
         confidences=probs.max(axis=-1),
         corrects=pred == y,
     )
@@ -357,6 +380,8 @@ def make_task_data(model_cfg: ModelConfig, *, train_size: int, val_size: int,
     One generator seeded with ``seed`` draws the task, then the train,
     validation and test splits, in that order; only training gets label noise.
     """
+    if not (0.0 <= label_noise < 1.0):
+        raise ValueError(f"label_noise must lie in [0, 1), got {label_noise!r}")
     rng = np.random.default_rng(seed)
     if model_cfg.task == "classification":
         draw = gaussian_mixture(model_cfg.n_classes, model_cfg.input_dim, separation, rng)

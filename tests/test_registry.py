@@ -1,4 +1,6 @@
+import ast
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,17 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alskd import artifacts as artifacts_module
+from alskd import registry as registry_module
 from alskd.data import PAD_ID, Split
 from alskd.metrics import mini_bleu
+from alskd.models import MLPClassifier
 from alskd.registry import (
     CheckpointRegistry,
     CorruptCheckpointError,
     DuplicateEpochError,
     NoTeacherError,
-    evaluate_g,
     read_checkpoint,
     write_checkpoint,
 )
+from alskd.trainer import ModelConfig, TeacherHandle, TrainConfig, TrainState, evaluate
 
 
 @pytest.fixture
@@ -35,6 +39,26 @@ def linear_forward(params, x):
     """Toy forward pass: params reshaped to (classes, features)."""
     w = params.reshape(-1, x.shape[-1])
     return np.asarray(x, dtype=np.float64) @ w.T
+
+
+class StubModel:
+    """A model whose forward pass is ``forward_fn`` and keeps no backward cache."""
+
+    def __init__(self, forward_fn):
+        self.forward_fn = forward_fn
+
+    def forward(self, params, inputs):
+        return self.forward_fn(params, inputs), None
+
+
+def test_registry_imports_only_artifacts_from_the_package():
+    """The registry stores and ranks checkpoints; it never runs or scores a model."""
+    tree = ast.parse(Path(registry_module.__file__).read_text())
+    package = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("alskd"))}
+    package |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names if alias.name.startswith("alskd")}
+    assert package == {"artifacts"}
 
 
 class TestBinaryFormat:
@@ -251,29 +275,27 @@ class TestTeacherSelection:
 
     def test_handle_params_are_read_only(self, registry):
         self.seeded(registry, {1: 0.5})
-        handle = registry.select_teacher(2)
+        record = registry.select_teacher(2)
         with pytest.raises(ValueError):
-            handle.params[0] = 1.0
+            record.params[0] = 1.0
 
-    def test_handle_forward(self, tmp_path, rng):
-        reg = CheckpointRegistry(tmp_path / "reg", forward_fn=linear_forward)
-        w = rng.normal(size=(3, 4)).astype(np.float32)
-        reg.store(w.ravel(), 1, 0.5, "accuracy")
-        handle = reg.select_teacher(2)
-        x = rng.normal(size=(5, 4))
-        np.testing.assert_allclose(handle.logits(x), linear_forward(w.ravel(), x), atol=1e-6)
-
-    def test_handle_without_forward_fn(self, registry):
-        self.seeded(registry, {1: 0.5})
-        with pytest.raises(RuntimeError):
-            registry.select_teacher(2).logits(np.zeros((1, 2)))
+    def test_handle_forward(self, registry, rng):
+        """A selected checkpoint, run by its model, gives the model's own logits."""
+        model = MLPClassifier(4, 5, 3)
+        registry.store(model.init_params(3), 1, 0.5, "accuracy")
+        record = registry.select_teacher(2)
+        x = rng.normal(size=(5, 4)).astype(np.float32)
+        logits = TeacherHandle(record, model).logits(x)
+        assert logits.tobytes() == model.forward(record.params, x)[0].tobytes()
 
 
 class TestEvaluateG:
+    """The validation scores a run ranks its checkpoints by: ``getattr(evaluate(...), g_kind)``."""
+
     def test_accuracy_all_correct(self, rng):
         w = np.eye(3, dtype=np.float32).ravel()  # identity scorer
         data = Split(np.eye(3, dtype=np.float32), np.arange(3))
-        assert evaluate_g(linear_forward, w, data, "accuracy") == 1.0
+        assert evaluate(StubModel(linear_forward), w, data).accuracy == 1.0
 
     def test_nll_matches_manual(self, rng):
         w = rng.normal(size=(4, 5)).astype(np.float32)
@@ -284,7 +306,7 @@ class TestEvaluateG:
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
         expected = -np.mean(np.log(probs[np.arange(20), y]))
-        assert evaluate_g(linear_forward, w.ravel(), data, "nll") == pytest.approx(
+        assert evaluate(StubModel(linear_forward), w.ravel(), data).nll == pytest.approx(
             expected, abs=1e-9)
 
     def test_mini_bleu_perfect_decode(self):
@@ -301,7 +323,7 @@ class TestEvaluateG:
         targets = (inputs % 4) + 1
         targets[inputs == 0] = 0
         data = Split(inputs, targets, inputs != PAD_ID)
-        assert evaluate_g(seq_forward, np.zeros(1, np.float32), data, "mini_bleu") == 1.0
+        assert evaluate(StubModel(seq_forward), np.zeros(1, np.float32), data).mini_bleu == 1.0
         hyps = greedy_decode(seq_forward, np.zeros(1, np.float32), data)
         assert hyps == [[2, 3, 4], [1, 2]]
 
@@ -325,20 +347,21 @@ class TestEvaluateG:
 
         refs = [targets[i, :k].tolist() for i, k in enumerate(lengths)]
         hyps = greedy_decode(one_hot, None, split)
-        score = evaluate_g(one_hot, None, split, "mini_bleu")
+        score = evaluate(StubModel(one_hot), None, split).mini_bleu
         assert score == mini_bleu(hyps, refs) == counter_bleu(hyps, refs)
 
-    def test_mini_bleu_needs_sequences(self):
-        data = Split(np.zeros((2, 3), np.float32), np.zeros(2, np.int64))
-        with pytest.raises(ValueError):
-            evaluate_g(linear_forward, np.zeros(6, np.float32), data, "mini_bleu")
+    def test_mini_bleu_needs_sequences(self, tmp_path):
+        """A classification run cannot rank by mini_bleu; it is refused before its registry."""
+        with pytest.raises(ValueError, match="mini_bleu"):
+            TrainState.start(ModelConfig(), TrainConfig("base_ce", g_kind="mini_bleu"),
+                             tmp_path / "reg")
+        assert not (tmp_path / "reg").exists()
 
     def test_empty_validation_set(self):
         data = Split(np.zeros((0, 3), np.float32), np.zeros(0, np.int64))
         with pytest.raises(ValueError):
-            evaluate_g(linear_forward, np.zeros(6, np.float32), data, "accuracy")
+            evaluate(StubModel(linear_forward), np.zeros(6, np.float32), data)
 
     def test_unknown_metric(self):
-        data = Split(np.zeros((1, 2), np.float32), np.zeros(1, np.int64))
-        with pytest.raises(ValueError):
-            evaluate_g(linear_forward, np.zeros(4, np.float32), data, "rouge")
+        with pytest.raises(ValueError, match="rouge"):
+            TrainConfig("base_ce", g_kind="rouge")

@@ -10,9 +10,10 @@ from conftest import central_difference, open_failing_on_write, rel_error
 from alskd import artifacts, trainer
 from alskd.data import PAD_ID, batch_indices
 from alskd.losses import label_smoothing_loss, uniform_prior
+from alskd.metrics import accuracy_score
 from alskd.models import MLPClassifier, build_model
 from alskd.probs import alpha_rows, floored_log, softmax_rows
-from alskd.registry import TeacherHandle, evaluate_g, read_checkpoint
+from alskd.registry import CheckpointRecord, read_checkpoint
 from alskd.trainer import (
     METHODS,
     DivergenceError,
@@ -20,6 +21,7 @@ from alskd.trainer import (
     EpochLoss,
     MissingTeacherError,
     ModelConfig,
+    TeacherHandle,
     TrainConfig,
     TrainState,
     epoch_loss,
@@ -70,6 +72,14 @@ class TestTaskData:
         for split in (splits.train, splits.val, splits.test):
             assert split.mask is None
             assert len(split) == len(split.targets) == split.inputs.shape[0]
+
+    @pytest.mark.parametrize("task", ["classification", "seq_transduction"])
+    @pytest.mark.parametrize("noise", [-0.5, 1.0, 1.5])
+    def test_label_noise_outside_unit_interval_is_refused(self, task, noise):
+        cfg = TINY_MODEL if task == "classification" else ModelConfig(task=task, vocab=7)
+        with pytest.raises(ValueError, match=r"label_noise must lie in \[0, 1\)"):
+            make_task_data(cfg, train_size=8, val_size=4, test_size=4, label_noise=noise,
+                           seed=0)
 
 
 class TestDeterminism:
@@ -139,12 +149,12 @@ class TestTeacherLifecycle:
     def test_teacher_forward_leaves_training_state_alone(self, tmp_path):
         cfg, splits = tiny_splits()
         r = train(cfg, tiny_train_cfg("adaptive_skd", epochs=3), splits, tmp_path / "run")
-        handle = r.registry.select_teacher(3)
+        handle = TeacherHandle(r.registry.select_teacher(3), r.model)
         params_before = r.params.copy()
-        teacher_params_before = handle.params.copy()
+        teacher_params_before = handle.checkpoint.params.copy()
         handle.logits(splits.val.inputs)
         np.testing.assert_array_equal(r.params, params_before)
-        np.testing.assert_array_equal(handle.params, teacher_params_before)
+        np.testing.assert_array_equal(handle.checkpoint.params, teacher_params_before)
 
 
 class TestEpochLoss:
@@ -163,7 +173,7 @@ class TestEpochLoss:
 
     @pytest.mark.parametrize("method", list(METHODS))
     def test_every_method_at_epochs_one_and_two(self, method):
-        handle = TeacherHandle(epoch=1, val_score=0.5, g_kind="accuracy", params=np.zeros(3))
+        handle = TeacherHandle(CheckpointRecord(1, np.zeros(3), 0.5, "accuracy"), None)
         labels = np.array([0, 0, 1, 3])
         priors = {"uniform": np.full(4, 0.25), "unigram": np.array([3, 2, 1, 2]) / 8,
                   "teacher": handle, None: None}
@@ -205,14 +215,9 @@ class TestForwardBackward:
         model = MLPClassifier(cfg.input_dim, cfg.hidden, cfg.n_classes)
         params = model.init_params(2)
         x, y = splits.train.inputs[:16], splits.train.targets[:16]
-
-        def fwd(p, inputs):
-            return model.forward(p, inputs)[0]
-
         frozen = params.copy()
         frozen.flags.writeable = False
-        handle = TeacherHandle(epoch=1, val_score=0.0, g_kind="accuracy",
-                               params=frozen, _forward_fn=fwd)
+        handle = TeacherHandle(CheckpointRecord(1, frozen, 0.0, "accuracy"), model)
         alpha = 0.4
         skd = forward_backward(model, params, x, y, batch_loss(
             "fixed_alpha_skd", epoch=2, teacher=handle, fixed_alpha=alpha))
@@ -237,14 +242,9 @@ class TestForwardBackward:
         cfg, splits = tiny_splits()
         model = MLPClassifier(cfg.input_dim, cfg.hidden, cfg.n_classes)
         params = model.init_params(5)
-
-        def fwd(p, inputs):
-            return model.forward(p, inputs)[0]
-
         teacher_params = model.init_params(6)
         teacher_params.flags.writeable = False
-        handle = TeacherHandle(epoch=1, val_score=0.0, g_kind="accuracy",
-                               params=teacher_params, _forward_fn=fwd)
+        handle = TeacherHandle(CheckpointRecord(1, teacher_params, 0.0, "accuracy"), model)
         x, y = splits.train.inputs[:16], splits.train.targets[:16]
         for method in ("base_ce", "uniform_ls", "unigram_ls", "conf_penalty",
                        "adaptive_skd", "fixed_alpha_skd", "adaptive_alpha_uniform",
@@ -263,8 +263,7 @@ class TestForwardBackward:
         params = model.init_params(5)
         teacher_params = model.init_params(6)
         teacher_params.flags.writeable = False
-        handle = TeacherHandle(epoch=1, val_score=0.0, g_kind="accuracy", params=teacher_params,
-                               _forward_fn=lambda p, inputs: model.forward(p, inputs)[0])
+        handle = TeacherHandle(CheckpointRecord(1, teacher_params, 0.0, "accuracy"), model)
         x, y = splits.train.inputs[:24], splits.train.targets[:24]
         loss = batch_loss(method, epoch=2, teacher=handle, labels=y, n_classes=model.n_classes)
         bare = forward_backward(model, params, x, y, loss)
@@ -404,8 +403,8 @@ class TestTrainingLoop:
                 epoch=epoch, loss_mode=cfg_t.method, teacher_epoch=None,
                 mean_alpha=float(alphas.mean()), alpha_std=float(alphas.std()),
                 mean_grad_norm=float(np.mean(norms)), train_loss=float(np.mean(losses)),
-                val_score=evaluate_g(lambda p, inputs: model.forward(p, inputs)[0], params,
-                                     splits.val, cfg_t.g_kind)))
+                val_score=accuracy_score(model.forward(params, splits.val.inputs)[0].argmax(-1),
+                                         splits.val.targets)))
 
         assert result.params.tobytes() == params.tobytes()
         assert result.diagnostics == expected
@@ -465,6 +464,16 @@ class TestTrainState:
             train(cfg, cfg_t, splits, tmp_path / "run")
         assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == before
 
+    def test_mini_bleu_on_classification_is_refused_before_training(self, tmp_path,
+                                                                    monkeypatch):
+        batches = []
+        monkeypatch.setattr(trainer, "forward_backward", lambda *a, **k: batches.append(a))
+        cfg, splits = tiny_splits()
+        run = tmp_path / "run"
+        with pytest.raises(ValueError, match="mini_bleu requires a sequence task"):
+            train(cfg, tiny_train_cfg("base_ce", g_kind="mini_bleu"), splits, run)
+        assert batches == [] and not run.exists()  # no epoch trained, no checkpoint written
+
 
 class TestEvaluate:
     def test_uniform_predictor_confidence(self):
@@ -473,6 +482,14 @@ class TestEvaluate:
         params = np.zeros(model.n_params, dtype=np.float32)
         result = evaluate(model, params, splits.test)
         np.testing.assert_allclose(result.confidences, 0.25, atol=1e-12)
+
+    def test_bleu_only_on_a_split_with_a_mask(self):
+        for task in ("classification", "seq_transduction"):
+            cfg, splits = tiny_splits(task=task)
+            model = build_model(**vars(cfg))
+            bleu = evaluate(model, model.init_params(0), splits.test).mini_bleu
+            assert (bleu is None) == (task == "classification")
+            assert bleu is None or 0.0 <= bleu <= 1.0
 
     def test_pairs_feed_calibration(self, tmp_path):
         from alskd.calibration import calibration_report
