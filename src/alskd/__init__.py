@@ -42,6 +42,7 @@ from .registry import (
     NoTeacherError,
 )
 from .trainer import (
+    DataConfig,
     DivergenceError,
     EpochDiagnostics,
     ModelConfig,

@@ -26,14 +26,7 @@ from .gradlab import (
     write_proposition_csv,
     write_ratios_csv,
 )
-from .trainer import (
-    ModelConfig,
-    TrainConfig,
-    evaluate,
-    make_task_data,
-    train,
-    write_diagnostics_csv,
-)
+from .trainer import evaluate, make_task_data, train, write_diagnostics_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,16 +45,16 @@ def resolve_output_dir(explicit: str | None, configured: str | None, default_nam
     return chosen
 
 
-def run_training(cfg: RunConfig, model_cfg: ModelConfig, train_cfg: TrainConfig,
-                 out_dir: Path) -> dict:
+def run_training(cfg: RunConfig, out_dir: Path) -> dict:
     """Execute one training run and write its artifact set under ``out_dir``.
 
     Returns the manifest dictionary (already written to disk).
     """
-    splits = make_task_data(model_cfg, seed=train_cfg.seed, **cfg.data_kwargs())
+    train_cfg = cfg.train
+    splits = make_task_data(cfg.model, cfg.data, train_cfg.seed)
 
     registry_dir = out_dir / "registry"
-    result = train(model_cfg, train_cfg, splits, registry_dir)
+    result = train(cfg.model, train_cfg, splits, registry_dir)
 
     diagnostics_csv = out_dir / "diagnostics.csv"
     write_diagnostics_csv(result.diagnostics, diagnostics_csv)
@@ -77,6 +70,7 @@ def run_training(cfg: RunConfig, model_cfg: ModelConfig, train_cfg: TrainConfig,
     manifest = {
         "command": "train",
         "config": cfg.values,
+        "config_hash": cfg.config_hash,
         "method": train_cfg.method,
         "g_kind": train_cfg.g_kind,
         "seed": train_cfg.seed,
@@ -103,9 +97,9 @@ def run_training(cfg: RunConfig, model_cfg: ModelConfig, train_cfg: TrainConfig,
 def cmd_train(args) -> int:
     seed = [] if args.seed is None else [f"training.seed={args.seed}"]
     cfg = load_config(args.config, [*(args.set or []), *seed])  # --seed wins over --set
-    model_cfg, train_cfg = cfg.model_config(), cfg.train_config()
-    out_dir = resolve_output_dir(args.output, cfg.output_dir, "runs/train")
-    manifest = run_training(cfg, model_cfg, train_cfg, out_dir)
+    cfg.train  # a run needs a method: refused before any directory exists
+    out_dir = resolve_output_dir(args.output, cfg.get("paths", "output_dir"), "runs/train")
+    manifest = run_training(cfg, out_dir)
     summary = manifest["summary"]
     print(f"method={manifest['method']} seed={manifest['seed']} "
           f"val_score={summary['final_val_score']:.4f} "
@@ -115,30 +109,24 @@ def cmd_train(args) -> int:
 
 
 def cmd_ablation(args) -> int:
-    overrides = args.set or []
-    cfg = load_config(args.config, overrides)
-    model_cfg = cfg.model_config()
-    entries = []
-    for label, method, g_kind in cfg.ablation_entries():  # the shared config, with the entry's method
-        entry_cfg = load_config(args.config, [*overrides, f"method.name={method}",
-                                              f"method.g_kind={g_kind}"])
-        entries.append((label, entry_cfg, entry_cfg.train_config()))
-    out_dir = resolve_output_dir(args.output, cfg.output_dir, "runs/ablation")
+    cfg = load_config(args.config, args.set or [])
+    entries = cfg.ablation_entries()  # every entry checked before any directory exists
+    out_dir = resolve_output_dir(args.output, cfg.get("paths", "output_dir"), "runs/ablation")
 
     rows = []
     run_dirs = []
-    for label, entry_cfg, train_cfg in entries:
+    for label, entry_cfg in entries:
         run_dir = out_dir / "runs" / label.replace(":", "_")
         run_dir.mkdir(parents=True, exist_ok=True)
         try:
-            manifest = run_training(entry_cfg, model_cfg, train_cfg, run_dir)
+            manifest = run_training(entry_cfg, run_dir)
         except Exception as exc:
             failure = OSError if isinstance(exc, OSError) else RuntimeError  # I/O exits 4
             raise failure(f"ablation entry {label!r} failed: {exc}") from exc
         summary = manifest["summary"]
         rows.append({
             "method": label,
-            "g_kind": train_cfg.g_kind,
+            "g_kind": manifest["g_kind"],
             "val_score": summary["final_val_score"],
             "test_accuracy": summary["test_accuracy"],
             "test_ece": summary["test_ece"],
@@ -150,7 +138,7 @@ def cmd_ablation(args) -> int:
     write_json(out_dir / "manifest.json", {
         "command": "ablation",
         "config": cfg.values,
-        "seed": cfg.seed,
+        "seed": cfg.get("training", "seed"),
         "output_dir": str(out_dir),
         "artifacts": {
             "manifest": "manifest.json",

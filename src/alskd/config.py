@@ -6,178 +6,142 @@ the root seed), ``[method]`` (loss selection and its hyperparameters), and
 ``[paths]`` (output location). Command-line overrides use dotted key paths
 like ``training.seed=3333``. Every random draw in a run flows from the one
 root seed, which is what makes experiment matrices diff-able and re-runnable.
+
+The keys are the fields of ``ModelConfig``, ``DataConfig`` and
+``TrainConfig``: a value is parsed by its field's annotation, defaults to the
+field's default, and is checked by the dataclass, whose errors are reported
+under the INI key. Only ``method.ablation_methods`` and ``paths.output_dir``
+are not fields of a run.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+import json
+from dataclasses import MISSING, asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
-from .registry import G_KINDS
-from .trainer import METHODS, ModelConfig, TrainConfig
-
-
-class ConfigError(ValueError):
-    """Invalid or unknown configuration, with the offending field path."""
-
-    def __init__(self, message: str, field: str | None = None):
-        super().__init__(message if field is None else f"{field}: {message}")
-        self.field = field
+from .trainer import ConfigError, DataConfig, ModelConfig, TrainConfig, check_g_kind
 
 
 def _parse_str_list(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
-def _enum(*allowed: str):
-    def parse(text: str) -> str:
-        value = text.strip()
-        if value not in allowed:
-            raise ValueError(f"expected one of {allowed}, got {value!r}")
-        return value
-    return parse
+# dataclass -> field name -> the (section, key) it is read from
+INI_KEYS = {cls: {f.name: tuple(f.metadata.get("ini", f"{cls.SECTION}.{f.name}").split("."))
+                  for f in fields(cls)}
+            for cls in (ModelConfig, DataConfig, TrainConfig)}
 
+# (section, key) -> (parser, default); a None default with no file value stays None
+KEYS = {INI_KEYS[cls][f.name]: ({"int": int, "float": float, "str": str}[f.type],
+                                None if f.default is MISSING else f.default)
+        for cls in INI_KEYS for f in fields(cls)}
+KEYS[("method", "ablation_methods")] = (_parse_str_list, None)
+KEYS[("paths", "output_dir")] = (str, None)
 
-# section -> key -> (parser, default). A None default with no file value
-# stays None; required keys are enforced by the consumers that need them.
-SCHEMA: dict[str, dict[str, tuple]] = {
-    "model": {
-        "task": (_enum("classification", "seq_transduction"), "classification"),
-        "classes": (int, 10),
-        "input_dim": (int, 16),
-        "hidden": (int, 64),
-        "vocab": (int, 12),
-        "embed": (int, 8),
-        "train_size": (int, 1500),
-        "val_size": (int, 500),
-        "test_size": (int, 2000),
-        "label_noise": (float, 0.15),
-        "separation": (float, 0.6),
-        "min_len": (int, 4),
-        "max_len": (int, 9),
-    },
-    "training": {
-        "epochs": (int, 30),
-        "batch_size": (int, 64),
-        "learning_rate": (float, 0.35),
-        "warmup_steps": (int, 300),
-        "momentum": (float, 0.9),
-        "seed": (int, 0),
-    },
-    "method": {
-        "name": (_enum(*METHODS), None),
-        "g_kind": (_enum(*G_KINDS), "accuracy"),
-        "fixed_alpha": (float, 0.1),
-        "beta": (float, 0.78),
-        "max_alpha": (float, 0.7),
-        "ablation_methods": (_parse_str_list, None),
-    },
-    "paths": {
-        "output_dir": (str, None),
-    },
-}
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Typed view of one parsed configuration file."""
+    """One parsed configuration file and its typed, validated views.
+
+    ``values`` (section -> key -> value) is the record a run's manifest writes.
+    Building a ``RunConfig`` checks the model and data keys, and the training
+    and method keys too when it names a method.
+    """
 
     values: dict
+
+    def __post_init__(self):
+        self.model, self.data  # each view checks its keys when first read
+        if self.get("method", "name") is not None:
+            self.train
 
     def get(self, section: str, key: str):
         return self.values[section][key]
 
-    def model_config(self) -> ModelConfig:
-        m = self.values["model"]
+    def _view(self, cls, check=None):
+        """``cls`` built from its keys; an error names the INI key, not the field."""
+        keys = INI_KEYS[cls]
         try:
-            return ModelConfig(
-                task=m["task"], n_classes=m["classes"], input_dim=m["input_dim"],
-                hidden=m["hidden"], vocab=m["vocab"], embed=m["embed"])
-        except ValueError as exc:
-            raise ConfigError(str(exc), field="model") from exc
+            view = cls(**{name: self.get(*key) for name, key in keys.items()})
+            if check is not None:
+                check(view)
+        except ConfigError as exc:
+            raise ConfigError(exc.message, field=".".join(keys[exc.field])) from exc
+        return view
 
-    def train_config(self) -> TrainConfig:
-        t = self.values["training"]
-        me = self.values["method"]
-        if me["name"] is None:
+    @cached_property
+    def model(self) -> ModelConfig:
+        return self._view(ModelConfig)
+
+    @cached_property
+    def data(self) -> DataConfig:
+        return self._view(DataConfig)
+
+    @cached_property
+    def train(self) -> TrainConfig:
+        if self.get("method", "name") is None:
             raise ConfigError("a method name is required", field="method.name")
-        try:
-            return TrainConfig(
-                method=me["name"], g_kind=me["g_kind"],
-                epochs=t["epochs"], batch_size=t["batch_size"],
-                learning_rate=t["learning_rate"], warmup_steps=t["warmup_steps"],
-                momentum=t["momentum"], seed=t["seed"],
-                fixed_alpha=me["fixed_alpha"], beta=me["beta"],
-                max_alpha=me["max_alpha"])
-        except ValueError as exc:
-            raise ConfigError(str(exc), field="training/method") from exc
-
-    def data_kwargs(self) -> dict:
-        m = self.values["model"]
-        return dict(
-            train_size=m["train_size"], val_size=m["val_size"],
-            test_size=m["test_size"], label_noise=m["label_noise"],
-            separation=m["separation"], min_len=m["min_len"],
-            max_len=m["max_len"])
+        return self._view(TrainConfig, lambda train: check_g_kind(self.model, train))
 
     @property
-    def seed(self) -> int:
-        return self.values["training"]["seed"]
+    def config_hash(self) -> str:
+        """SHA-256 of the resolved model, data and training configs as canonical JSON.
 
-    @property
-    def output_dir(self) -> str | None:
-        return self.values["paths"]["output_dir"]
+        ``paths.output_dir`` and ``method.ablation_methods`` are not part of it.
+        """
+        import hashlib  # on first use: its OpenSSL library is 3.7 MB resident (x86_64 Linux)
+        views = {"model": asdict(self.model), "data": asdict(self.data),
+                 "train": asdict(self.train)}
+        return hashlib.sha256(json.dumps(views, sort_keys=True).encode()).hexdigest()
 
-    def ablation_entries(self) -> list[tuple[str, str, str]]:
-        """(label, method, g_kind) rows for the ablation matrix.
+    def ablation_entries(self) -> list[tuple[str, RunConfig]]:
+        """(label, run config) for each row of the ablation matrix, each one validated.
 
         Entries are method names, optionally suffixed ``:g_kind`` to pin
-        the teacher-selection metric for that row.
+        the teacher-selection metric for that row; every other key is shared.
         """
-        entries = self.values["method"]["ablation_methods"]
-        if not entries:
+        labels = self.values["method"]["ablation_methods"]
+        if not labels:
             raise ConfigError("an ablation run needs a method list",
                               field="method.ablation_methods")
-        rows = []
-        for label in entries:
+        entries = []
+        for label in labels:
             name, _, g_kind = label.partition(":")
-            if name not in METHODS:
-                raise ConfigError(f"unknown method {name!r}",
-                                  field="method.ablation_methods")
-            if g_kind and g_kind not in G_KINDS:
-                raise ConfigError(f"unknown g_kind {g_kind!r}",
-                                  field="method.ablation_methods")
-            rows.append((label, name, g_kind or self.values["method"]["g_kind"]))
-        return rows
+            method = {**self.values["method"], "name": name,
+                      "g_kind": g_kind or self.values["method"]["g_kind"]}
+            try:
+                entries.append((label, RunConfig({**self.values, "method": method})))
+            except ConfigError as exc:
+                raise ConfigError(f"ablation entry {label!r}: {exc.message}",
+                                  field=exc.field) from exc
+        return entries
 
 
 def _parse_sections(parser: configparser.ConfigParser,
                     overrides: dict[tuple[str, str], str]) -> dict:
-    known = set(SCHEMA)
+    known = {section for section, _ in KEYS}
     for section in parser.sections():
         if section not in known:
             raise ConfigError("unknown section", field=section)
         for key in parser[section]:
-            if key not in SCHEMA[section]:
+            if (section, key) not in KEYS:
                 raise ConfigError("unknown key", field=f"{section}.{key}")
     for section, key in overrides:
-        if section not in SCHEMA or key not in SCHEMA[section]:
+        if (section, key) not in KEYS:
             raise ConfigError("unknown key", field=f"{section}.{key}")
 
     values: dict = {}
-    for section, keys in SCHEMA.items():
-        values[section] = {}
-        for key, (parse, default) in keys.items():
-            raw = overrides.get((section, key))
-            if raw is None and parser.has_option(section, key):
-                raw = parser.get(section, key)
-            if raw is None:
-                values[section][key] = default
-                continue
-            try:
-                values[section][key] = parse(raw)
-            except ValueError as exc:
-                raise ConfigError(str(exc), field=f"{section}.{key}") from exc
+    for (section, key), (parse, default) in KEYS.items():
+        raw = overrides.get((section, key))
+        if raw is None and parser.has_option(section, key):
+            raw = parser.get(section, key)
+        try:
+            values.setdefault(section, {})[key] = default if raw is None else parse(raw)
+        except ValueError as exc:
+            raise ConfigError(str(exc), field=f"{section}.{key}") from exc
     return values
 
 
@@ -203,4 +167,3 @@ def load_config(path, overrides=()) -> RunConfig:
         raise ConfigError(f"malformed config: {exc}") from exc
     parsed_overrides = dict(parse_override(item) for item in overrides)
     return RunConfig(values=_parse_sections(parser, parsed_overrides))
-

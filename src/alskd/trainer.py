@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import MISSING, dataclass, field
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -80,49 +80,92 @@ class MissingTeacherError(RuntimeError):
     """A self-distillation step past the fallback epoch has no teacher."""
 
 
+class ConfigError(ValueError):
+    """An invalid or unknown configuration value, with the offending field."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message if field is None else f"{field}: {message}")
+        self.message = message
+        self.field = field
+
+
+def _check(cfg, rule: str, ok, *names: str) -> None:
+    """Refuse the first field of ``names`` whose value fails ``ok``, naming that field."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not ok(value):
+            raise ConfigError(f"{rule}, got {value!r}", field=name)
+
+
+def _ini(path: str, default=MISSING):
+    """A field read from the INI key ``path`` ("section.key"), not ``SECTION.<field>``."""
+    return field(default=default, metadata={"ini": path})
+
+
 @dataclass(frozen=True)
 class ModelConfig:
+    SECTION: ClassVar[str] = "model"
+
     task: str = "classification"
-    n_classes: int = 10
+    n_classes: int = _ini("model.classes", 10)
     input_dim: int = 16
     hidden: int = 64
     vocab: int = 12
     embed: int = 8
 
     def __post_init__(self):
-        if self.task not in ("classification", "seq_transduction"):
-            raise ValueError(f"unknown task {self.task!r}")
-        if self.n_classes < 2:
-            raise ValueError("n_classes must be >= 2")
-        if min(self.input_dim, self.hidden, self.vocab, self.embed) < 1:
-            raise ValueError("layer sizes must be positive")
+        _check(self, "must be classification or seq_transduction",
+               lambda task: task in ("classification", "seq_transduction"), "task")
+        _check(self, "must be >= 2", lambda n: n >= 2, "n_classes")
+        _check(self, "must be positive", lambda n: n >= 1, "input_dim", "hidden", "vocab", "embed")
+
+
+@dataclass(frozen=True)
+class DataConfig:
+    """The synthetic dataset that ``make_task_data`` draws for a model."""
+
+    SECTION: ClassVar[str] = "model"
+
+    train_size: int = 1500
+    val_size: int = 500
+    test_size: int = 2000
+    label_noise: float = 0.15
+    separation: float = 0.6
+    min_len: int = 4
+    max_len: int = 9
+
+    def __post_init__(self):
+        _check(self, "label_noise must lie in [0, 1)", lambda p: 0.0 <= p < 1.0, "label_noise")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    method: str
-    g_kind: str = "accuracy"
+    SECTION: ClassVar[str] = "training"
+
+    method: str = _ini("method.name")
+    g_kind: str = _ini("method.g_kind", "accuracy")
     epochs: int = 30
     batch_size: int = 64
     learning_rate: float = 0.35
     warmup_steps: int = 300
     momentum: float = 0.9
     seed: int = 0
-    fixed_alpha: float = 0.1
-    beta: float = 0.78
-    max_alpha: float = 0.7
+    fixed_alpha: float = _ini("method.fixed_alpha", 0.1)
+    beta: float = _ini("method.beta", 0.78)
+    max_alpha: float = _ini("method.max_alpha", 0.7)
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}, expected one of {tuple(METHODS)}")
-        if self.g_kind not in G_KINDS:
-            raise ValueError(f"unknown g_kind {self.g_kind!r}, expected one of {G_KINDS}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
-        if not (0.0 <= self.fixed_alpha <= 1.0 and 0.0 <= self.max_alpha <= 1.0):
-            raise ValueError("alpha values must lie in [0, 1]")
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
+        _check(self, f"must be one of {tuple(METHODS)}", METHODS.__contains__, "method")
+        _check(self, f"must be one of {G_KINDS}", G_KINDS.__contains__, "g_kind")
+        _check(self, "must be positive", lambda n: n >= 1, "epochs", "batch_size")
+        _check(self, "must lie in [0, 1]", lambda a: 0.0 <= a <= 1.0, "fixed_alpha", "max_alpha")
+        _check(self, "must be non-negative", lambda b: b >= 0, "beta")
+
+
+def check_g_kind(model_cfg: ModelConfig, cfg: TrainConfig) -> None:
+    """Refuse a validation metric that the task cannot score."""
+    if cfg.g_kind == "mini_bleu" and model_cfg.task != "seq_transduction":
+        raise ConfigError("mini_bleu requires a sequence task", field="g_kind")
 
 
 @dataclass(frozen=True)
@@ -258,8 +301,7 @@ class TrainState:
     @classmethod
     def start(cls, model_cfg: ModelConfig, cfg: TrainConfig, registry_dir) -> TrainState:
         """A fresh run; refuses a registry directory that already holds epochs."""
-        if cfg.g_kind == "mini_bleu" and model_cfg.task != "seq_transduction":
-            raise ValueError("mini_bleu requires a sequence task")
+        check_g_kind(model_cfg, cfg)
         model = build_model(**vars(model_cfg))
         registry = CheckpointRegistry(registry_dir, expected_param_count=model.n_params)
         if len(registry):
@@ -371,20 +413,16 @@ def write_diagnostics_csv(diagnostics: list[EpochDiagnostics], path) -> None:
                      for name in DIAGNOSTICS_COLUMNS})
 
 
-def make_task_data(model_cfg: ModelConfig, *, train_size: int, val_size: int,
-                   test_size: int, label_noise: float, seed: int,
-                   separation: float = 0.6, min_len: int = 4,
-                   max_len: int = 9) -> DataSplits:
+def make_task_data(model_cfg: ModelConfig, data: DataConfig, seed: int) -> DataSplits:
     """Generate the synthetic dataset matching a model configuration.
 
     One generator seeded with ``seed`` draws the task, then the train,
     validation and test splits, in that order; only training gets label noise.
     """
-    if not (0.0 <= label_noise < 1.0):
-        raise ValueError(f"label_noise must lie in [0, 1), got {label_noise!r}")
     rng = np.random.default_rng(seed)
     if model_cfg.task == "classification":
-        draw = gaussian_mixture(model_cfg.n_classes, model_cfg.input_dim, separation, rng)
+        draw = gaussian_mixture(model_cfg.n_classes, model_cfg.input_dim, data.separation, rng)
     else:
-        draw = copy_substitution(model_cfg.vocab, min_len, max_len, rng)
-    return DataSplits(draw(train_size, label_noise), draw(val_size, 0.0), draw(test_size, 0.0))
+        draw = copy_substitution(model_cfg.vocab, data.min_len, data.max_len, rng)
+    return DataSplits(draw(data.train_size, data.label_noise), draw(data.val_size, 0.0),
+                      draw(data.test_size, 0.0))

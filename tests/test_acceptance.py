@@ -25,13 +25,13 @@ from alskd.losses import (
     unigram_prior,
 )
 from alskd.registry import CheckpointRegistry, read_checkpoint, write_checkpoint
-from alskd.trainer import ModelConfig, TrainConfig, evaluate, make_task_data, train
+from alskd.trainer import DataConfig, ModelConfig, TrainConfig, evaluate, make_task_data, train
 
 SEEDS = (0, 3333, 5555)
 
 DESK_MODEL = ModelConfig(task="classification", n_classes=10, input_dim=16, hidden=64)
-DESK_DATA = dict(train_size=1500, val_size=500, test_size=2000,
-                 label_noise=0.15, separation=0.6)
+DESK_DATA = DataConfig(train_size=1500, val_size=500, test_size=2000,
+                       label_noise=0.15, separation=0.6)
 DESK_TRAIN = dict(g_kind="accuracy", epochs=30, batch_size=64, learning_rate=0.35,
                   warmup_steps=300, momentum=0.9)
 
@@ -63,7 +63,7 @@ ablation_methods = base_ce, fixed_alpha_skd, adaptive_alpha_uniform, linear_alph
 
 class DeskRun:
     def __init__(self, method, seed, registry_dir):
-        splits = make_task_data(DESK_MODEL, seed=seed, **DESK_DATA)
+        splits = make_task_data(DESK_MODEL, DESK_DATA, seed)
         cfg = TrainConfig(method=method, seed=seed, **DESK_TRAIN)
         started = time.perf_counter()
         self.result = train(DESK_MODEL, cfg, splits, registry_dir)

@@ -252,6 +252,16 @@ class TestAblationCommand:
             assert (config["method"]["name"], config["method"]["g_kind"],
                     config["training"]["seed"]) == (method, g_kind, 2)
 
+    def test_an_entry_has_the_config_hash_of_the_same_train_run(self, tmp_path):
+        cfg = self.ablation_config(tmp_path, "base_ce, adaptive_skd:nll")
+        assert main(["ablation", "--config", str(cfg), "--output", str(tmp_path / "abl")]) == EXIT_OK
+        assert main(["train", "--config", str(cfg), "--output", str(tmp_path / "run"),
+                     "--set", "method.name=adaptive_skd", "--set", "method.g_kind=nll"]) == EXIT_OK
+        entry_hashes = [manifest_of(tmp_path / "abl" / "runs" / run)["config_hash"]
+                        for run in ("adaptive_skd_nll", "base_ce")]
+        assert entry_hashes[0] == manifest_of(tmp_path / "run")["config_hash"] != entry_hashes[1]
+        assert "config_hash" not in manifest_of(tmp_path / "abl")  # the matrix is not one run
+
     def test_repeat_invocation_is_identical(self, tmp_path):
         cfg = self.ablation_config(tmp_path, "base_ce, adaptive_skd:nll")
         first = tmp_path / "first"
@@ -299,9 +309,14 @@ class TestAblationCommand:
 
 
 @pytest.mark.parametrize("command,extra,field", [
-    ("ablation", ["--set", "method.fixed_alpha=2"], "training/method"),
+    ("ablation", ["--set", "method.fixed_alpha=2"], "method.fixed_alpha"),
     ("train", [], "method.name"),  # an ablation config names no method.name
-    ("train", ["--set", "method.name=base_ce", "--set", "model.classes=1"], "model"),
+    ("train", ["--set", "method.name=base_ce", "--set", "model.classes=1"], "model.classes"),
+    ("train", ["--set", "method.name=base_ce", "--set", "method.g_kind=mini_bleu"],
+     "method.g_kind"),
+    # a later entry's error, found before the first entry trains
+    ("ablation", ["--set", "method.ablation_methods=base_ce, adaptive_skd:mini_bleu"],
+     "method.g_kind"),
 ])
 def test_config_errors_exit_before_anything_is_written(tmp_path, capsys, command, extra, field):
     path = tmp_path / "ablation.ini"

@@ -16,6 +16,7 @@ from alskd.probs import alpha_rows, floored_log, softmax_rows
 from alskd.registry import CheckpointRecord, read_checkpoint
 from alskd.trainer import (
     METHODS,
+    DataConfig,
     DivergenceError,
     EpochDiagnostics,
     EpochLoss,
@@ -39,8 +40,8 @@ TINY_MODEL = ModelConfig(task="classification", n_classes=4, input_dim=5, hidden
 def tiny_splits(seed=0, task="classification"):
     cfg = TINY_MODEL if task == "classification" else ModelConfig(
         task="seq_transduction", vocab=7, embed=4, hidden=6)
-    return cfg, make_task_data(cfg, train_size=120, val_size=40, test_size=40,
-                               label_noise=0.1, seed=seed)
+    return cfg, make_task_data(cfg, DataConfig(train_size=120, val_size=40, test_size=40,
+                                               label_noise=0.1), seed)
 
 
 def tiny_train_cfg(method, seed=0, epochs=4, **kw):
@@ -78,8 +79,8 @@ class TestTaskData:
     def test_label_noise_outside_unit_interval_is_refused(self, task, noise):
         cfg = TINY_MODEL if task == "classification" else ModelConfig(task=task, vocab=7)
         with pytest.raises(ValueError, match=r"label_noise must lie in \[0, 1\)"):
-            make_task_data(cfg, train_size=8, val_size=4, test_size=4, label_noise=noise,
-                           seed=0)
+            make_task_data(cfg, DataConfig(train_size=8, val_size=4, test_size=4,
+                                           label_noise=noise), 0)
 
 
 class TestDeterminism:
