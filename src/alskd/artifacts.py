@@ -1,12 +1,13 @@
 """The one writer of every file the package produces.
 
 A file is written to ``<name>.tmp`` beside its target and renamed over
-``<name>`` once complete. A failed write, interrupts included, unlinks the
-temporary file, so the target keeps its previous bytes. CSV is formatted a
-column at a time, byte for byte as ``csv.writer`` in the excel dialect:
-bools as ``true``/``false``, numbers as ``str`` (``repr`` for floats), None
-as an empty field, any other value as ``str``. A field holding ``,``, ``"``,
-CR or LF is quoted with its quotes doubled; a lone empty field is ``""``.
+``<name>`` once complete; a directory is made when its first file is written.
+A failed write, interrupts included, unlinks the temporary file, so the
+target keeps its previous bytes. CSV is formatted a column at a time, byte
+for byte as ``csv.writer`` in the excel dialect: bools as ``true``/``false``,
+numbers as ``str`` (``repr`` for floats), None as an empty field, any other
+value as ``str``. A field holding ``,``, ``"``, CR or LF is quoted with its
+quotes doubled; a lone empty field is ``""``.
 """
 
 import json
@@ -22,6 +23,7 @@ def replacing(path, mode: str = "w"):
     """Open ``<path>.tmp`` in ``mode``, "w" or "wb"; rename it over ``path`` on success."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    path.parent.mkdir(parents=True, exist_ok=True)
     try:
         with (open(tmp, mode) if "b" in mode else open(tmp, mode, newline="")) as fh:
             yield fh

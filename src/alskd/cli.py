@@ -2,10 +2,12 @@
 
 Subcommands write CSV artifacts plus a JSON manifest that snapshots the
 config, the seed, and every file produced, so a run can be audited and
-reproduced exactly. Exit codes are stable: 0 success, 2 configuration
-error, 3 runtime failure (divergence, exhausted sampling, a failed matrix
-entry), 4 I/O failure. The environment variable ``ALSKD_OUTPUT_ROOT``
-relocates the default output root (relative output paths resolve under it).
+reproduced exactly. ``RunDir`` owns the output layout; a directory appears
+with its first file, so a run refused before its first write leaves nothing
+on disk. Relative output paths resolve under ``ALSKD_OUTPUT_ROOT`` when it
+is set. Exit codes are stable: 0 success, 2 configuration error, 3 runtime
+failure (divergence, exhausted sampling, a failed matrix entry), 4 I/O
+failure.
 """
 
 from __future__ import annotations
@@ -36,45 +38,68 @@ EXIT_IO = 4
 OUTPUT_ROOT_ENV = "ALSKD_OUTPUT_ROOT"
 
 
-def resolve_output_dir(explicit: str | None, configured: str | None, default_name: str) -> Path:
-    """Pick the output directory; relative paths live under the output root."""
-    chosen = Path(explicit or configured or default_name)
-    if not chosen.is_absolute():
-        chosen = Path(os.environ.get(OUTPUT_ROOT_ENV, ".")) / chosen
-    chosen.mkdir(parents=True, exist_ok=True)
-    return chosen
+class RunDir:
+    """A run's output directory, the one place its layout is named. It makes no
+    directory (one appears with its first file); the files it hands out are
+    recorded, and the manifest lists them as its ``artifacts``."""
+
+    NAMES = {"manifest": "manifest.json", "diagnostics_csv": "diagnostics.csv",
+             "calibration_csv": "calibration.csv", "table_csv": "ablation.csv"}
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self.registry_dir = self.path / "registry"
+        self.artifacts: dict = {"manifest": self.NAMES["manifest"]}  # always written, last
+
+    @classmethod
+    def resolve(cls, *choices: str | None) -> RunDir:
+        """The first path chosen; a relative one lives under the output root."""
+        return cls(Path(os.environ.get(OUTPUT_ROOT_ENV, ".")) / next(filter(None, choices)))
+
+    def file(self, key: str) -> Path:
+        """Where the artifact ``key`` is written, recorded for the manifest."""
+        self.artifacts[key] = self.NAMES[key]
+        return self.path / self.NAMES[key]
+
+    def add_registry(self, registry) -> None:
+        """Record the index and the checkpoints of the registry in ``registry_dir``."""
+        files = [registry.index_path, *registry.checkpoint_files()]
+        index, *checkpoints = (str(p.relative_to(self.path)) for p in files)
+        self.artifacts.update(registry_index=index, checkpoints=checkpoints)
+
+    def entry(self, label: str) -> RunDir:
+        """The run directory of ablation entry ``label``, recorded under ``runs``."""
+        name = "runs/" + label.replace(":", "_")
+        self.artifacts.setdefault("runs", []).append(name)
+        return RunDir(self.path / name)
+
+    def write_manifest(self, manifest: dict) -> dict:
+        """Write ``manifest`` with the run's path and every file recorded; returns it."""
+        manifest = {**manifest, "output_dir": str(self.path), "artifacts": self.artifacts}
+        write_json(self.path / self.NAMES["manifest"], manifest)
+        return manifest
 
 
-def run_training(cfg: RunConfig, out_dir: Path) -> dict:
-    """Execute one training run and write its artifact set under ``out_dir``.
-
-    Returns the manifest dictionary (already written to disk).
-    """
+def run_training(cfg: RunConfig, run: RunDir) -> dict:
+    """Train one run, write its artifacts into ``run``, and return the manifest written."""
     train_cfg = cfg.train
     splits = make_task_data(cfg.model, cfg.data, train_cfg.seed)
 
-    registry_dir = out_dir / "registry"
-    result = train(cfg.model, train_cfg, splits, registry_dir)
-
-    diagnostics_csv = out_dir / "diagnostics.csv"
-    write_diagnostics_csv(result.diagnostics, diagnostics_csv)
+    result = train(cfg.model, train_cfg, splits, run.registry_dir)
+    run.add_registry(result.registry)
+    write_diagnostics_csv(result.diagnostics, run.file("diagnostics_csv"))
 
     test_eval = evaluate(result.model, result.params, splits.test)
     report = calibration_report(test_eval.pairs, n_bins=10)
-    calibration_csv = out_dir / "calibration.csv"
-    write_reliability_csv(report, calibration_csv)
+    write_reliability_csv(report, run.file("calibration_csv"))
 
-    def rel(p) -> str:
-        return str(Path(p).relative_to(out_dir))
-
-    manifest = {
+    return run.write_manifest({
         "command": "train",
         "config": cfg.values,
         "config_hash": cfg.config_hash,
         "method": train_cfg.method,
         "g_kind": train_cfg.g_kind,
         "seed": train_cfg.seed,
-        "output_dir": str(out_dir),
         "summary": {
             "final_val_score": result.diagnostics[-1].val_score,
             "test_accuracy": test_eval.accuracy,
@@ -82,83 +107,55 @@ def run_training(cfg: RunConfig, out_dir: Path) -> dict:
             "test_ece": report.ece,
             "test_mce": report.mce,
         },
-        "artifacts": {
-            "manifest": "manifest.json",
-            "diagnostics_csv": rel(diagnostics_csv),
-            "calibration_csv": rel(calibration_csv),
-            "registry_index": rel(result.registry.index_path),
-            "checkpoints": [rel(p) for p in result.registry.checkpoint_files()],
-        },
-    }
-    write_json(out_dir / "manifest.json", manifest)
-    return manifest
+    })
 
 
 def cmd_train(args) -> int:
     seed = [] if args.seed is None else [f"training.seed={args.seed}"]
     cfg = load_config(args.config, [*(args.set or []), *seed])  # --seed wins over --set
-    cfg.train  # a run needs a method: refused before any directory exists
-    out_dir = resolve_output_dir(args.output, cfg.get("paths", "output_dir"), "runs/train")
-    manifest = run_training(cfg, out_dir)
+    run = RunDir.resolve(args.output, cfg.get("paths", "output_dir"), "runs/train")
+    manifest = run_training(cfg, run)
     summary = manifest["summary"]
     print(f"method={manifest['method']} seed={manifest['seed']} "
           f"val_score={summary['final_val_score']:.4f} "
           f"test_acc={summary['test_accuracy']:.4f} test_ece={summary['test_ece']:.4f}")
-    print(f"artifacts in {out_dir}")
+    print(f"artifacts in {run.path}")
     return EXIT_OK
 
 
 def cmd_ablation(args) -> int:
     cfg = load_config(args.config, args.set or [])
-    entries = cfg.ablation_entries()  # every entry checked before any directory exists
-    out_dir = resolve_output_dir(args.output, cfg.get("paths", "output_dir"), "runs/ablation")
+    entries = cfg.ablation_entries()  # every entry checked before the first file is written
+    run = RunDir.resolve(args.output, cfg.get("paths", "output_dir"), "runs/ablation")
 
-    rows = []
-    run_dirs = []
+    manifests = []
     for label, entry_cfg in entries:
-        run_dir = out_dir / "runs" / label.replace(":", "_")
-        run_dir.mkdir(parents=True, exist_ok=True)
         try:
-            manifest = run_training(entry_cfg, run_dir)
+            manifests.append(run_training(entry_cfg, run.entry(label)))
         except Exception as exc:
             failure = OSError if isinstance(exc, OSError) else RuntimeError  # I/O exits 4
             raise failure(f"ablation entry {label!r} failed: {exc}") from exc
-        summary = manifest["summary"]
-        rows.append({
-            "method": label,
-            "g_kind": manifest["g_kind"],
-            "val_score": summary["final_val_score"],
-            "test_accuracy": summary["test_accuracy"],
-            "test_ece": summary["test_ece"],
-        })
-        run_dirs.append(str(run_dir.relative_to(out_dir)))
 
-    write_csv(out_dir / "ablation.csv",
-              {name: [row[name] for row in rows] for name in rows[0]})
-    write_json(out_dir / "manifest.json", {
-        "command": "ablation",
-        "config": cfg.values,
-        "seed": cfg.get("training", "seed"),
-        "output_dir": str(out_dir),
-        "artifacts": {
-            "manifest": "manifest.json",
-            "table_csv": "ablation.csv",
-            "runs": run_dirs,
-        },
-    })
+    table = {"method": [label for label, _ in entries],
+             "g_kind": [m["g_kind"] for m in manifests],
+             "val_score": [m["summary"]["final_val_score"] for m in manifests],
+             "test_accuracy": [m["summary"]["test_accuracy"] for m in manifests],
+             "test_ece": [m["summary"]["test_ece"] for m in manifests]}
+    write_csv(run.file("table_csv"), table)
+    run.write_manifest({"command": "ablation", "config": cfg.values,
+                        "seed": cfg.get("training", "seed")})
 
-    width = max(len(r["method"]) for r in rows)
+    width = max(map(len, table["method"]))
     print(f"{'method'.ljust(width)}  {'val_score':>10}  {'test_acc':>10}  {'test_ece':>10}")
-    for row in rows:
-        print(f"{row['method'].ljust(width)}  {row['val_score']:>10.4f}  "
-              f"{row['test_accuracy']:>10.4f}  {row['test_ece']:>10.4f}")
-    print(f"artifacts in {out_dir}")
+    for row in zip(*(table[c] for c in ("method", "val_score", "test_accuracy", "test_ece"))):
+        print(row[0].ljust(width) + "".join(f"  {v:>10.4f}" for v in row[1:]))
+    print(f"artifacts in {run.path}")
     return EXIT_OK
 
 
 def cmd_gradlab_ratios(args) -> int:
     table = sampled_ratio_table(args.draws, args.classes, args.alpha, args.seed)
-    path = resolve_output_dir(args.output, None, "runs/gradlab") / "ratios.csv"
+    path = RunDir.resolve(args.output, "runs/gradlab").path / "ratios.csv"
     write_ratios_csv(table, path)
     print(f"wrote {path}")
     return EXIT_OK
@@ -166,7 +163,7 @@ def cmd_gradlab_ratios(args) -> int:
 
 def cmd_gradlab_proposition(args) -> int:
     report = proposition1_validate(args.trials, args.classes, args.seed)
-    path = resolve_output_dir(args.output, None, "runs/gradlab") / "proposition.csv"
+    path = RunDir.resolve(args.output, "runs/gradlab").path / "proposition.csv"
     write_proposition_csv(report, path)
     print(f"valid_pairs={report.valid_pairs} violations={report.violations}")
     print(f"wrote {path}")
@@ -175,7 +172,7 @@ def cmd_gradlab_proposition(args) -> int:
 
 def cmd_gradlab_flipmap(args) -> int:
     census = flip_region_census(args.resolution, args.alpha)
-    path = resolve_output_dir(args.output, None, "runs/gradlab") / "flipmap.csv"
+    path = RunDir.resolve(args.output, "runs/gradlab").path / "flipmap.csv"
     write_flip_census_csv(census, path)
     print(f"wrote {path} ({census.flip.sum()} of {census.flip.size} cells flip)")
     return EXIT_OK

@@ -80,12 +80,8 @@ def copy_substitution(vocab: int, min_len: int, max_len: int, rng: np.random.Gen
     is the input token mapped through a fixed random permutation of the
     non-pad vocabulary, drawn once, here. ``label_noise`` is the chance that
     a real target token is replaced by another symbol. Token 0 is reserved
-    for padding.
+    for padding. ``ModelConfig`` and ``DataConfig`` check the arguments.
     """
-    if vocab < 3:
-        raise ValueError("need vocab >= 3 (one pad id plus at least two symbols)")
-    if not (1 <= min_len <= max_len):
-        raise ValueError("need 1 <= min_len <= max_len")
     # permutation over symbols 1..vocab-1; pad maps to pad
     mapping = np.concatenate(([PAD_ID], rng.permutation(np.arange(1, vocab))))
 

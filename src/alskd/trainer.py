@@ -117,7 +117,8 @@ class ModelConfig:
         _check(self, "must be classification or seq_transduction",
                lambda task: task in ("classification", "seq_transduction"), "task")
         _check(self, "must be >= 2", lambda n: n >= 2, "n_classes")
-        _check(self, "must be positive", lambda n: n >= 1, "input_dim", "hidden", "vocab", "embed")
+        _check(self, "must be positive", lambda n: n >= 1, "input_dim", "hidden", "embed")
+        _check(self, "must be >= 3 (a pad id and two symbols)", lambda n: n >= 3, "vocab")
 
 
 @dataclass(frozen=True)
@@ -135,6 +136,9 @@ class DataConfig:
     max_len: int = 9
 
     def __post_init__(self):
+        _check(self, "must be positive", lambda n: n >= 1,
+               "train_size", "val_size", "test_size", "min_len")
+        _check(self, f"must be <= max_len ({self.max_len})", lambda n: n <= self.max_len, "min_len")
         _check(self, "label_noise must lie in [0, 1)", lambda p: 0.0 <= p < 1.0, "label_noise")
 
 

@@ -191,3 +191,35 @@ def test_only_the_binary_writer_opens_files_through_replacing():
                 users.add(path.name)
     # equality, not a subset: the scan does see the checkpoint writer's use
     assert users == {"artifacts.py", "registry.py"}
+
+
+def directory_makers(source: str) -> set[str]:
+    """Qualified names of the functions in ``source`` that make a directory."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if getattr(child, "attr", None) in ("mkdir", "makedirs"):
+                found.add(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_a_directory_is_made_only_with_its_first_file():
+    """``replacing`` makes the directory of the file it writes; the registry makes its
+    root up front, so an unwritable output fails before the first epoch trains."""
+    makers = {(path.name, name) for path in sorted(SRC.glob("*.py"))
+              for name in directory_makers(path.read_text())}
+    assert makers == {("artifacts.py", "replacing"), ("registry.py", "CheckpointRegistry.__init__")}
+
+
+def test_a_write_makes_its_missing_directories(tmp_path):
+    target = tmp_path / "run" / "runs" / "base_ce" / "diagnostics.csv"
+    write_csv(target, {"epoch": [1, 2]})
+    assert target.read_bytes() == b"epoch\r\n1\r\n2\r\n"
+    assert [p.name for p in target.parent.iterdir()] == ["diagnostics.csv"]

@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alskd.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
+from alskd import trainer
+from alskd.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, RunDir, main, run_training
+from alskd.config import RunConfig
 from alskd.gradlab import gradient_ratio
 from alskd.losses import ce_loss, kd_loss
 from alskd.probs import softmax
@@ -122,7 +124,11 @@ class TestTrainCommand:
         assert code == EXIT_RUNTIME
         assert "non-finite" in capsys.readouterr().err
 
-    def test_io_failure_exits_with_io_code(self, tiny_config, tmp_path):
+    def test_io_failure_exits_with_io_code(self, tiny_config, tmp_path, monkeypatch):
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a batch ran before the output directory was checked")
+
+        monkeypatch.setattr(trainer, "forward_backward", no_batch)
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
         assert main(["train", "--config", str(tiny_config),
@@ -216,10 +222,12 @@ class TestGradlabCommands:
         assert rows and all(r["flip_target"] == "false" for r in rows)
 
     def test_invalid_counts_exit_config(self, tmp_path):
+        out = tmp_path / "lab"
         assert main(["gradlab", "proposition", "--trials", "0",
-                     "--output", str(tmp_path)]) == EXIT_CONFIG
+                     "--output", str(out)]) == EXIT_CONFIG
         assert main(["gradlab", "flipmap", "--alpha", "2.0",
-                     "--output", str(tmp_path)]) == EXIT_CONFIG
+                     "--output", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
 
 class TestAblationCommand:
@@ -317,6 +325,11 @@ class TestAblationCommand:
     # a later entry's error, found before the first entry trains
     ("ablation", ["--set", "method.ablation_methods=base_ce, adaptive_skd:mini_bleu"],
      "method.g_kind"),
+    # data rules, checked by the config dataclasses before the first write
+    ("train", ["--set", "method.name=base_ce", "--set", "model.min_len=12"], "model.min_len"),
+    ("train", ["--set", "method.name=base_ce", "--set", "model.vocab=2"], "model.vocab"),
+    ("ablation", ["--set", "model.train_size=0"], "model.train_size"),
+    ("train", ["--set", "method.name=base_ce", "--set", "model.test_size=0"], "model.test_size"),
 ])
 def test_config_errors_exit_before_anything_is_written(tmp_path, capsys, command, extra, field):
     path = tmp_path / "ablation.ini"
@@ -325,3 +338,30 @@ def test_config_errors_exit_before_anything_is_written(tmp_path, capsys, command
     assert main([command, "--config", str(path), "--output", str(out), *extra]) == EXIT_CONFIG
     assert f"config error: {field}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_run_is_reproduced_from_its_manifest(tmp_path, tiny_config):
+    """Each run's manifest ``config`` rebuilds a config with the recorded hash, and
+    rerunning it writes every file again byte for byte, ``output_dir`` apart."""
+    ablation = tmp_path / "ablation.ini"
+    ablation.write_text(TINY.replace("name = adaptive_skd", "ablation_methods = adaptive_skd:nll"))
+    sequence = Path(__file__).parents[1] / "configs" / "sequence.ini"
+    for argv in (["train", "--config", str(tiny_config), "--output", str(tmp_path / "tiny")],
+                 ["ablation", "--config", str(ablation), "--output", str(tmp_path / "abl")],
+                 ["train", "--config", str(sequence), "--set", "training.epochs=3",
+                  "--output", str(tmp_path / "seq")]):
+        assert main(argv) == EXIT_OK
+    for run in (tmp_path / "tiny", tmp_path / "abl" / "runs" / "adaptive_skd_nll",
+                tmp_path / "seq"):
+        manifest = manifest_of(run)
+        cfg = RunConfig(manifest["config"])
+        assert cfg.config_hash == manifest["config_hash"]
+        again = tmp_path / "again" / run.name
+        run_training(cfg, RunDir(again))
+        files = sorted(p.relative_to(run) for p in run.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(again) for p in again.rglob("*") if p.is_file())
+        for rel in files:
+            want = (run / rel).read_bytes()
+            if rel.name == "manifest.json":
+                want = want.replace(json.dumps(str(run)).encode(), json.dumps(str(again)).encode())
+            assert (again / rel).read_bytes() == want, (run.name, rel)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alskd import trainer
-from alskd.cli import run_training
+from alskd.cli import RunDir, run_training
 from alskd.config import load_config
 from alskd.losses import mixture_loss_rows
 from alskd.models import MLPClassifier, RecurrentTransducer, build_model
@@ -264,10 +264,10 @@ def test_sequence_run_is_byte_identical_to_the_loop(tmp_path, monkeypatch):
     any machine, unlike the recorded benchmark fingerprints."""
     cfg = load_config(Path(__file__).parents[1] / "configs" / "sequence.ini",
                       ["training.epochs=3"])
-    run_training(cfg, tmp_path / "stacked")
+    run_training(cfg, RunDir(tmp_path / "stacked"))
     monkeypatch.setattr(trainer, "build_model", lambda task, *, vocab, embed, hidden, **_:
                         LoopTransducer(vocab=vocab, embed=embed, hidden=hidden))
-    run_training(cfg, tmp_path / "loop")
+    run_training(cfg, RunDir(tmp_path / "loop"))
     files = sorted(p.relative_to(tmp_path / "loop") for p in (tmp_path / "loop").rglob("*")
                    if p.is_file() and p.name != "manifest.json")
     assert len([f for f in files if f.suffix == ".ckpt"]) == 3
