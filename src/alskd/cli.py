@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .artifacts import write_csv, write_json
 from .calibration import calibration_report, write_reliability_csv
-from .config import RunConfig, load_config
+from .config import RunConfig, entry_name, load_config
 from .gradlab import (
     flip_region_census,
     proposition1_validate,
@@ -69,7 +69,7 @@ class RunDir:
 
     def entry(self, label: str) -> RunDir:
         """The run directory of ablation entry ``label``, recorded under ``runs``."""
-        name = "runs/" + label.replace(":", "_")
+        name = "runs/" + entry_name(label)
         self.artifacts.setdefault("runs", []).append(name)
         return RunDir(self.path / name)
 

@@ -42,6 +42,11 @@ KEYS[("method", "ablation_methods")] = (_parse_str_list, None)
 KEYS[("paths", "output_dir")] = (str, None)
 
 
+def entry_name(label: str) -> str:
+    """The run directory name of ablation entry ``label``: ``:`` is written ``_``."""
+    return label.replace(":", "_")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One parsed configuration file and its typed, validated views.
@@ -102,6 +107,7 @@ class RunConfig:
 
         Entries are method names, optionally suffixed ``:g_kind`` to pin
         the teacher-selection metric for that row; every other key is shared.
+        No two entries may share a run directory (``entry_name``).
         """
         labels = self.values["method"]["ablation_methods"]
         if not labels:
@@ -109,6 +115,9 @@ class RunConfig:
                               field="method.ablation_methods")
         entries = []
         for label in labels:
+            if entry_name(label) in (entry_name(seen) for seen, _ in entries):
+                raise ConfigError(f"entry {label!r} repeats a run directory",
+                                  field="method.ablation_methods")
             name, _, g_kind = label.partition(":")
             method = {**self.values["method"], "name": name,
                       "g_kind": g_kind or self.values["method"]["g_kind"]}

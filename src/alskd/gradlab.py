@@ -9,9 +9,9 @@ factor.
 
 The validator rejection-samples candidate pairs in fixed-size blocks of
 array draws; only the teacher's target mass enters the mean rescaling
-factor, so no teacher distribution is drawn. Its entropies are exactly
-rounded, like ``probs.entropy``, so the entropy ordering of each pair and
-its smoothing weights are the ones the scalar functions give.
+factor, so no teacher distribution is drawn. Its entropies are the
+trainer's row entropies (``probs.entropy_rows``), so each pair's smoothing
+weights are ``adaptive_alpha`` of its students, bit for bit.
 
 Undefined ratios (zero cross-entropy gradient component) are marked with
 NaN rather than infinity, and consumers count them separately.
@@ -29,7 +29,7 @@ from .losses import _check_label, mixture_loss_rows
 from .probs import (
     alpha_from_entropy,
     check_prob_dist,
-    exact_entropy_rows,
+    entropy_rows,
     floored_log,
     softmax,
     softmax_rows,
@@ -261,10 +261,10 @@ def _sample_block(rng: np.random.Generator, class_count: int, size: int) -> Pair
     p_b = p_b * ((1.0 - t) / (1.0 - tb))[:, np.newaxis]
     p_b[np.arange(keep.size), target] = t
 
-    # Exactly-rounded entropies: a candidate pair is kept or dropped, and
-    # ordered, on the same values ``probs.entropy`` gives, bit for bit.
-    h_a = exact_entropy_rows(p_a)
-    h_b = exact_entropy_rows(p_b)
+    # The trainer's row entropies: a pair is kept or dropped, and ordered, on
+    # the entropies behind ``adaptive_alpha`` of its students, bit for bit.
+    h_a = entropy_rows(p_a, floored_log(p_a))
+    h_b = entropy_rows(p_b, floored_log(p_b))
     a_high = (h_a > h_b)[:, np.newaxis]
     h_high = np.maximum(h_a, h_b)
     h_low = np.minimum(h_a, h_b)
@@ -300,8 +300,8 @@ def proposition1_validate(
     arrays; the first ``n_trials`` valid ones, in draw order, are the
     trials. No more than ``max_attempts`` candidates are ever drawn, and
     ``SamplingExhaustedError`` is raised if they hold fewer valid pairs.
-    Entropies are exactly rounded, so every trial's smoothing weights equal
-    ``adaptive_alpha`` of its two students, bit for bit.
+    Entropies are the trainer's row entropies, so every trial's smoothing
+    weights equal ``adaptive_alpha`` of its two students, bit for bit.
     """
     if class_count < 3:
         raise ValueError(f"class_count must be >= 3, got {class_count!r}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probs import adaptive_alpha, check_prob_dist, entropy_rows, floored_log, softmax
+from .probs import alpha_rows, check_prob_dist, entropy_rows, floored_log, softmax
 
 
 def uniform_prior(n_classes: int) -> np.ndarray:
@@ -69,7 +69,7 @@ def _mixture_row(z, y, prior: np.ndarray | None, alpha: float | None = None
     """One sample through ``mixture_loss_rows``, as a breakdown and gradient.
 
     Validates the logits ``z``, the label ``y`` and the weight. A None
-    ``prior`` is all zeros; a None ``alpha`` is ``adaptive_alpha`` of the student.
+    ``prior`` is all zeros; a None ``alpha`` is ``alpha_rows`` of the student's row.
     """
     p = softmax(z)
     idx = _check_label(y, p.size)
@@ -78,9 +78,10 @@ def _mixture_row(z, y, prior: np.ndarray | None, alpha: float | None = None
         raise ValueError("prior length does not match the class count")
     if alpha is not None and not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    a = adaptive_alpha(p) if alpha is None else alpha
     row = p[np.newaxis]
-    hard, teacher, total, grad = mixture_loss_rows(row, floored_log(row), [idx], q, a)
+    logs = floored_log(row)
+    a = alpha_rows(row, logs)[0] if alpha is None else alpha
+    hard, teacher, total, grad = mixture_loss_rows(row, logs, [idx], q, a)
     breakdown = LossBreakdown(total=float(total[0]), hard_term=float(hard[0]),
                               teacher_term=float(teacher[0]), alpha_used=float(a))
     return breakdown, grad[0]
@@ -112,9 +113,10 @@ def adaptive_skd_loss(z_student, z_teacher, y) -> tuple[LossBreakdown, np.ndarra
     """Self-distillation loss whose mixture weight adapts to prediction entropy.
 
     The weight is ``adaptive_alpha`` of the student's own probabilities,
-    ``1 - H(P) / ln|C|``, recorded in ``alpha_used``. It is a detached
-    scalar: the returned gradient is exact for the loss with that weight
-    held constant, which is the training-time contract.
+    ``1 - H(P) / ln|C|``, recorded in ``alpha_used``: the weight
+    ``forward_backward`` applies to the same logits, bit for bit. It is a
+    detached scalar: the returned gradient is exact for the loss with that
+    weight held constant, which is the training-time contract.
     """
     if z_teacher is None:
         raise ValueError("adaptive self-distillation requires teacher logits")

@@ -5,6 +5,10 @@ weights are plain floats in [0, 1]. Natural logarithms are used throughout,
 so entropies (and the losses built on them) are reported in nats. The log
 base cancels in the normalized-entropy smoothing weight, so this choice is
 observationally irrelevant there.
+
+Every smoothing weight is the trainer's row weight ``alpha_rows``;
+``adaptive_alpha`` is that weight for one validated row, and ``entropy`` is
+the exactly rounded reference that the row entropies are tested against.
 """
 
 from __future__ import annotations
@@ -57,21 +61,10 @@ def entropy(p) -> float:
     The result lies in [0, ln(len(p))]; it is 0 for a one-hot vector and
     maximal for the uniform distribution. Terms are accumulated with an
     exactly-rounded sum, so the value is invariant under permutation of
-    the entries, bit for bit.
+    the entries, bit for bit: the reference for ``entropy_rows``.
     """
     arr = check_prob_dist(p)
-    return float(exact_entropy_rows(arr[np.newaxis])[0])
-
-
-def exact_entropy_rows(probs: np.ndarray) -> np.ndarray:
-    """``entropy`` of each row of a 2-D array of distributions, unvalidated.
-
-    Each row's terms are summed with ``math.fsum``, so every value is
-    bit-identical to ``entropy`` of that row. For callers that built the
-    rows themselves and need that identity (the gradient lab's sampler).
-    """
-    terms = probs * floored_log(probs)
-    return np.array([-math.fsum(row) for row in terms.tolist()], dtype=np.float64)
+    return -math.fsum((arr * floored_log(arr)).tolist())
 
 
 def alpha_from_entropy(h, n_classes: int):
@@ -85,11 +78,14 @@ def alpha_from_entropy(h, n_classes: int):
 
 
 def adaptive_alpha(p) -> float:
-    """``alpha_from_entropy`` of a validated distribution's ``entropy``."""
+    """The trainer's weight ``alpha_rows`` of one validated distribution, as one row.
+
+    It may differ by one ulp from ``alpha_from_entropy(entropy(p), len(p))``."""
     arr = check_prob_dist(p)
     if arr.size < 2:
         raise ValueError("adaptive smoothing needs at least 2 classes (ln|C| = 0 otherwise)")
-    return float(alpha_from_entropy(entropy(arr), arr.size))
+    row = arr[np.newaxis]
+    return float(alpha_rows(row, floored_log(row))[0])
 
 
 # Row-wise variants used on already-valid softmax outputs (trainer hot path;

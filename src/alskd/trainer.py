@@ -140,6 +140,7 @@ class DataConfig:
                "train_size", "val_size", "test_size", "min_len")
         _check(self, f"must be <= max_len ({self.max_len})", lambda n: n <= self.max_len, "min_len")
         _check(self, "label_noise must lie in [0, 1)", lambda p: 0.0 <= p < 1.0, "label_noise")
+        _check(self, "must be finite and non-negative", lambda s: 0.0 <= s < math.inf, "separation")
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,8 @@ class TrainConfig:
         _check(self, f"must be one of {G_KINDS}", G_KINDS.__contains__, "g_kind")
         _check(self, "must be positive", lambda n: n >= 1, "epochs", "batch_size")
         _check(self, "must lie in [0, 1]", lambda a: 0.0 <= a <= 1.0, "fixed_alpha", "max_alpha")
-        _check(self, "must be non-negative", lambda b: b >= 0, "beta")
+        _check(self, "must be finite", math.isfinite, "learning_rate", "momentum")
+        _check(self, "must be finite and non-negative", lambda b: 0.0 <= b < math.inf, "beta")
 
 
 def check_g_kind(model_cfg: ModelConfig, cfg: TrainConfig) -> None:

@@ -330,6 +330,18 @@ class TestAblationCommand:
     ("train", ["--set", "method.name=base_ce", "--set", "model.vocab=2"], "model.vocab"),
     ("ablation", ["--set", "model.train_size=0"], "model.train_size"),
     ("train", ["--set", "method.name=base_ce", "--set", "model.test_size=0"], "model.test_size"),
+    # two entries that would write one run directory
+    ("ablation", ["--set", "method.ablation_methods=base_ce, base_ce"], "method.ablation_methods"),
+    # non-finite or negative floats, refused by the config dataclasses, not by numpy or a
+    # non-finite loss; a train run and an ablation entry exit alike
+    ("train", ["--set", "method.name=base_ce", "--set", "model.separation=-1"], "model.separation"),
+    ("ablation", ["--set", "model.separation=-1"], "model.separation"),
+    ("ablation", ["--set", "model.separation=nan"], "model.separation"),
+    ("train", ["--set", "method.name=base_ce", "--set", "training.learning_rate=nan"],
+     "training.learning_rate"),
+    ("train", ["--set", "method.name=base_ce", "--set", "training.momentum=inf"],
+     "training.momentum"),
+    ("train", ["--set", "method.name=conf_penalty", "--set", "method.beta=inf"], "method.beta"),
 ])
 def test_config_errors_exit_before_anything_is_written(tmp_path, capsys, command, extra, field):
     path = tmp_path / "ablation.ini"

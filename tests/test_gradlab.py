@@ -21,7 +21,7 @@ from alskd.gradlab import (
     write_proposition_csv,
 )
 from alskd.losses import ce_loss, kd_loss
-from alskd.probs import adaptive_alpha, entropy, softmax
+from alskd.probs import adaptive_alpha, entropy_rows, floored_log, softmax
 
 
 def region_draw(rng, n):
@@ -278,8 +278,8 @@ class TestProposition:
                 y, t = block.target[i], block.t[i]
                 p_high, p_low = block.p_high[i], block.p_low[i]
                 assert report.target[i] == y
-                assert block.h_high[i] == entropy(p_high)
-                assert block.h_low[i] == entropy(p_low)
+                assert block.h_high[i] == entropy_rows(p_high[None], floored_log(p_high[None]))[0]
+                assert block.h_low[i] == entropy_rows(p_low[None], floored_log(p_low[None]))[0]
                 assert block.h_high[i] > block.h_low[i]
                 assert report.alpha_high[i] == block.alpha_high[i] == adaptive_alpha(p_high)
                 assert report.alpha_low[i] == block.alpha_low[i] == adaptive_alpha(p_low)

@@ -8,11 +8,12 @@ import pytest
 from conftest import central_difference, open_failing_on_write, rel_error
 
 from alskd import artifacts, trainer
-from alskd.data import PAD_ID, batch_indices
-from alskd.losses import label_smoothing_loss, uniform_prior
+from alskd.config import load_config
+from alskd.data import PAD_ID, batch_indices, flat_positions
+from alskd.losses import adaptive_skd_loss, kd_loss, label_smoothing_loss, uniform_prior
 from alskd.metrics import accuracy_score
 from alskd.models import MLPClassifier, build_model
-from alskd.probs import alpha_rows, floored_log, softmax_rows
+from alskd.probs import adaptive_alpha, alpha_rows, floored_log, softmax, softmax_rows
 from alskd.registry import CheckpointRecord, read_checkpoint
 from alskd.trainer import (
     METHODS,
@@ -210,6 +211,36 @@ class TestForwardBackward:
         _, logit_grad = label_smoothing_loss(logits[0], int(y[0]), uniform_prior(4), 0.1)
         expected = model.backward(params, cache, logit_grad[None, :])
         np.testing.assert_allclose(stats.grad, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("config", ["classification.ini", "sequence.ini"])
+    def test_a_single_sample_loss_is_one_row_of_the_batch(self, config):
+        """Each real position's per-sample loss and weight are, bit for bit, what
+        ``forward_backward`` applies to it, on peaked desk-scale predictions."""
+        cfg = load_config(Path(__file__).parents[1] / "configs" / config)
+        model = build_model(**vars(cfg.model))
+        train_split = make_task_data(cfg.model, cfg.data, 0).train
+        x, y = train_split.inputs[:64], train_split.targets[:64]
+        mask = None if train_split.mask is None else train_split.mask[:64]
+        params = model.init_params(0) * 8
+        teacher = TeacherHandle(CheckpointRecord(1, model.init_params(1) * 8, 0.0, "accuracy"),
+                                model)
+        z, targets, _ = flat_positions(model.forward(params, x)[0], y, mask)
+        z_t = flat_positions(teacher.logits(x), y, mask)[0]
+        a, c = cfg.train.fixed_alpha, model.n_classes
+        per_sample = {
+            "adaptive_skd": lambda i: adaptive_skd_loss(z[i], z_t[i], targets[i]),
+            "fixed_alpha_skd": lambda i: kd_loss(z[i], z_t[i], targets[i], a),
+            "uniform_ls": lambda i: label_smoothing_loss(z[i], targets[i], uniform_prior(c), a),
+        }
+        for method, loss_of in per_sample.items():
+            loss = epoch_loss(dataclasses.replace(cfg.train, method=method), 2, c,
+                              lambda epoch: teacher, train_split.targets)
+            stats = forward_backward(model, params, x, y, loss, mask)
+            rows = [loss_of(i)[0] for i in range(targets.size)]
+            assert stats.loss == np.mean([row.total for row in rows])
+            if method == "adaptive_skd":
+                for i, row in enumerate(rows):
+                    assert stats.alphas[i] == row.alpha_used == adaptive_alpha(softmax(z[i]))
 
     def test_self_teacher_with_current_params_reduces_to_scaled_ce(self):
         cfg, splits = tiny_splits()
