@@ -10,7 +10,6 @@ from .calibration import (
     CalibrationBin,
     CalibrationReport,
     calibration_report,
-    reliability_rows,
 )
 from .gradlab import (
     FlipCensus,

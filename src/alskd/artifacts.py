@@ -3,11 +3,12 @@
 A file is written to ``<name>.tmp`` beside its target and renamed over
 ``<name>`` once complete; a directory is made when its first file is written.
 A failed write, interrupts included, unlinks the temporary file, so the
-target keeps its previous bytes. CSV is formatted a column at a time, byte
-for byte as ``csv.writer`` in the excel dialect: bools as ``true``/``false``,
-numbers as ``str`` (``repr`` for floats), None as an empty field, any other
-value as ``str``. A field holding ``,``, ``"``, CR or LF is quoted with its
-quotes doubled; a lone empty field is ``""``.
+target keeps its previous bytes. ``write_csv`` is the one CSV renderer: it
+formats a column at a time, byte for byte as ``csv.writer`` in the excel
+dialect: bools as ``true``/``false``, numbers as ``str`` (``repr`` for
+floats), None as an empty field, any other value as ``str``. A field holding
+``,``, ``"``, CR or LF is quoted with its quotes doubled; a lone empty field
+is ``""``.
 """
 
 import json
@@ -51,27 +52,16 @@ def _fields(values: np.ndarray) -> list[str]:
 BLOCK_ROWS = 1024
 
 
-def _write_rows(write, columns: dict) -> None:
+def write_csv(path, columns: dict) -> None:
+    """CSV of named, equal-length columns: a header line, then one line per row, streamed."""
     arrays = [np.asarray(c) for c in columns.values()]  # one dtype for each whole column
     starts = range(0, len(arrays[0]), BLOCK_ROWS)
     blocks = ([_fields(a[s:s + BLOCK_ROWS]) for a in arrays] for s in starts)
-    for fields in chain([[[_quote(str(name))] for name in columns]], blocks):
-        if len(fields) == 1:  # a lone empty field is quoted, else it reads as no field
-            fields = [[f or '""' for f in fields[0]]]
-        write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
-
-
-def csv_text(columns: dict) -> str:
-    """CSV of named, equal-length columns: a header line, then one line per row."""
-    parts = []
-    _write_rows(parts.append, columns)
-    return "".join(parts)
-
-
-def write_csv(path, columns: dict) -> None:
-    """Write ``csv_text(columns)`` to ``path``, streaming the rows."""
     with replacing(path) as fh:
-        _write_rows(fh.write, columns)
+        for fields in chain([[[_quote(str(name))] for name in columns]], blocks):
+            if len(fields) == 1:  # a lone empty field is quoted, else it reads as no field
+                fields = [[f or '""' for f in fields[0]]]
+            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
 def write_json(path, payload) -> None:

@@ -11,11 +11,11 @@ such gap over non-empty bins, so ECE <= MCE always.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .artifacts import csv_text, write_csv
+from .artifacts import write_csv
 
 
 @dataclass(frozen=True)
@@ -84,23 +84,12 @@ def calibration_report(pairs, n_bins: int = 10) -> CalibrationReport:
     return CalibrationReport(bins=bins, ece=math.fsum(gaps), mce=float(mce), total_count=total)
 
 
-RELIABILITY_COLUMNS = ("lower", "upper", "count", "mean_confidence", "accuracy")
-
-
-def _reliability_columns(report: CalibrationReport) -> dict:
-    return {name: [getattr(b, name) for b in report.bins] for name in RELIABILITY_COLUMNS}
-
-
-def reliability_rows(report: CalibrationReport) -> list[str]:
-    """CSV lines (header first) with one row per bin, in bin order.
+def write_reliability_csv(report: CalibrationReport, path) -> None:
+    """One row per bin, in bin order, and one column per field of ``CalibrationBin``.
 
     Empty bins render with count 0 and empty statistic fields. Floats are
     written with ``repr``, so ``float`` of each field gives back the report
     bins' values exactly.
     """
-    return csv_text(_reliability_columns(report)).splitlines()
-
-
-def write_reliability_csv(report: CalibrationReport, path) -> None:
-    """``reliability_rows`` as a CSV file."""
-    write_csv(path, _reliability_columns(report))
+    write_csv(path, {f.name: [getattr(b, f.name) for b in report.bins]
+                     for f in fields(CalibrationBin)})

@@ -6,6 +6,7 @@ finite-difference checks trivial. ``forward`` returns float64 logits plus a
 cache; ``backward`` consumes per-position logit gradients and returns a
 flat parameter gradient in the parameter dtype. Internals follow the
 parameter dtype, so tests may run the whole path in float64.
+``build_model`` returns the model that a ``ModelConfig`` describes.
 
 The RNN stacks its non-recurrent matmuls over a leading time axis, which
 numpy runs as one gemm per step of exactly the per-step shape, so results
@@ -72,8 +73,6 @@ class MLPClassifier(_FlatParamModel):
     """One-hidden-layer tanh classifier for fixed-length feature vectors."""
 
     def __init__(self, input_dim: int, hidden: int, n_classes: int):
-        if min(input_dim, hidden) < 1 or n_classes < 2:
-            raise ValueError("layer sizes must be positive and n_classes >= 2")
         self.input_dim = input_dim
         self.hidden = hidden
         self.n_classes = n_classes
@@ -118,8 +117,6 @@ class RecurrentTransducer(_FlatParamModel):
     """
 
     def __init__(self, vocab: int, embed: int, hidden: int):
-        if vocab < 2 or min(embed, hidden) < 1:
-            raise ValueError("vocab must be >= 2 and sizes positive")
         self.vocab = vocab
         self.embed = embed
         self.hidden = hidden
@@ -182,11 +179,8 @@ class RecurrentTransducer(_FlatParamModel):
         return grad.astype(params.dtype)
 
 
-def build_model(task: str, *, input_dim: int = 0, hidden: int = 0,
-                n_classes: int = 0, vocab: int = 0, embed: int = 0):
-    """Construct the model matching a task name."""
-    if task == "classification":
-        return MLPClassifier(input_dim=input_dim, hidden=hidden, n_classes=n_classes)
-    if task == "seq_transduction":
-        return RecurrentTransducer(vocab=vocab, embed=embed, hidden=hidden)
-    raise ValueError(f"unknown task {task!r}")
+def build_model(cfg):
+    """The model that ``cfg``, a ``ModelConfig``, describes; the config checks its values."""
+    if cfg.task == "classification":
+        return MLPClassifier(cfg.input_dim, cfg.hidden, cfg.n_classes)
+    return RecurrentTransducer(cfg.vocab, cfg.embed, cfg.hidden)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import MISSING, dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -164,7 +164,9 @@ class TrainConfig:
         _check(self, f"must be one of {G_KINDS}", G_KINDS.__contains__, "g_kind")
         _check(self, "must be positive", lambda n: n >= 1, "epochs", "batch_size")
         _check(self, "must lie in [0, 1]", lambda a: 0.0 <= a <= 1.0, "fixed_alpha", "max_alpha")
-        _check(self, "must be finite", math.isfinite, "learning_rate", "momentum")
+        _check(self, "must be non-negative", lambda n: n >= 0, "warmup_steps", "seed")
+        _check(self, "must be finite and positive", lambda r: 0.0 < r < math.inf, "learning_rate")
+        _check(self, "must lie in [0, 1)", lambda m: 0.0 <= m < 1.0, "momentum")
         _check(self, "must be finite and non-negative", lambda b: 0.0 <= b < math.inf, "beta")
 
 
@@ -308,7 +310,7 @@ class TrainState:
     def start(cls, model_cfg: ModelConfig, cfg: TrainConfig, registry_dir) -> TrainState:
         """A fresh run; refuses a registry directory that already holds epochs."""
         check_g_kind(model_cfg, cfg)
-        model = build_model(**vars(model_cfg))
+        model = build_model(model_cfg)
         registry = CheckpointRegistry(registry_dir, expected_param_count=model.n_params)
         if len(registry):
             raise FileExistsError(f"{registry.root} already holds epochs {registry.epochs()}; "
@@ -409,14 +411,11 @@ def evaluate(model, params: np.ndarray, split: Split) -> EvalResult:
     )
 
 
-DIAGNOSTICS_COLUMNS = ("epoch", "loss_mode", "teacher_epoch", "mean_alpha",
-                       "alpha_std", "mean_grad_norm", "train_loss", "val_score")
-
-
 def write_diagnostics_csv(diagnostics: list[EpochDiagnostics], path) -> None:
-    """One CSV row per epoch; absent teacher renders as an empty field."""
-    write_csv(path, {name: [getattr(d, name) for d in diagnostics]
-                     for name in DIAGNOSTICS_COLUMNS})
+    """One CSV row per epoch and one column per field of ``EpochDiagnostics``;
+    an absent teacher renders as an empty field."""
+    write_csv(path, {f.name: [getattr(d, f.name) for d in diagnostics]
+                     for f in fields(EpochDiagnostics)})
 
 
 def make_task_data(model_cfg: ModelConfig, data: DataConfig, seed: int) -> DataSplits:

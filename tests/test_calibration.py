@@ -6,19 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alskd.calibration import (
-    RELIABILITY_COLUMNS,
-    CalibrationBin,
-    calibration_report,
-    reliability_rows,
-    write_reliability_csv,
-)
+from alskd.calibration import CalibrationBin, calibration_report, write_reliability_csv
+
+
+def reliability_lines(report, tmp_path) -> list[str]:
+    """The lines, header first, that ``write_reliability_csv`` writes for ``report``."""
+    path = tmp_path / "calibration.csv"
+    write_reliability_csv(report, path)
+    return path.read_text().splitlines()
 
 
 def parse_reliability_rows(lines) -> list[CalibrationBin]:
-    """Oracle inverse of ``reliability_rows``: the bins read back through ``csv.reader``."""
+    """Oracle inverse of ``write_reliability_csv``: the bins read back through ``csv.reader``."""
     reader = csv.reader(lines)
-    assert tuple(next(reader)) == RELIABILITY_COLUMNS
+    assert next(reader) == ["lower", "upper", "count", "mean_confidence", "accuracy"]
     return [CalibrationBin(float(lower), float(upper), int(count),
                            None if mean_conf == "" else float(mean_conf),
                            None if acc == "" else float(acc))
@@ -142,22 +143,22 @@ class TestInvariances:
 
 
 class TestReliabilityRows:
-    def test_row_per_bin(self):
+    def test_row_per_bin(self, tmp_path):
         report = calibration_report(pairs((0.65, 5, 3)), n_bins=10)
-        lines = reliability_rows(report)
+        lines = reliability_lines(report, tmp_path)
         assert len(lines) == 11  # header + 10 bins
         assert lines[0] == "lower,upper,count,mean_confidence,accuracy"
 
-    def test_empty_bin_renders_empty_fields(self):
+    def test_empty_bin_renders_empty_fields(self, tmp_path):
         report = calibration_report(pairs((0.65, 5, 3)), n_bins=4)
-        lines = reliability_rows(report)
+        lines = reliability_lines(report, tmp_path)
         assert lines[1].startswith("0.0,0.25,0,,")
 
-    def test_round_trip_is_exact(self, rng):
+    def test_round_trip_is_exact(self, tmp_path, rng):
         conf = rng.uniform(0, 1, 300)
         correct = (rng.random(300) < conf).astype(float)
         report = calibration_report(np.column_stack([conf, correct]), n_bins=10)
-        parsed = parse_reliability_rows(reliability_rows(report))
+        parsed = parse_reliability_rows(reliability_lines(report, tmp_path))
         assert parsed == report.bins
 
     def test_csv_file_round_trip(self, tmp_path, rng):

@@ -342,6 +342,17 @@ class TestAblationCommand:
     ("train", ["--set", "method.name=base_ce", "--set", "training.momentum=inf"],
      "training.momentum"),
     ("train", ["--set", "method.name=conf_penalty", "--set", "method.beta=inf"], "method.beta"),
+    # optimizer and seed ranges: refused by the config, not by numpy or a silent bad run
+    ("train", ["--set", "method.name=base_ce", "--seed", "-1"], "training.seed"),
+    ("ablation", ["--set", "training.seed=-1"], "training.seed"),
+    ("train", ["--set", "method.name=base_ce", "--set", "training.momentum=1.5"],
+     "training.momentum"),
+    ("train", ["--set", "method.name=base_ce", "--set", "training.learning_rate=-0.35"],
+     "training.learning_rate"),
+    ("train", ["--set", "method.name=base_ce", "--set", "training.warmup_steps=-5"],
+     "training.warmup_steps"),
+    # the task rule of the model schema
+    ("train", ["--set", "method.name=base_ce", "--set", "model.task=autoencoder"], "model.task"),
 ])
 def test_config_errors_exit_before_anything_is_written(tmp_path, capsys, command, extra, field):
     path = tmp_path / "ablation.ini"

@@ -12,6 +12,7 @@ from alskd.config import load_config
 from alskd.losses import mixture_loss_rows
 from alskd.models import MLPClassifier, RecurrentTransducer, build_model
 from alskd.probs import floored_log, softmax_rows
+from alskd.trainer import ModelConfig
 
 
 def batch_ce_rows(model, params, inputs, targets, mask=None):
@@ -144,12 +145,10 @@ class TestFlatParams:
             model.views(np.zeros(3, dtype=np.float32))
 
     def test_build_model_dispatch(self):
-        assert isinstance(build_model("classification", input_dim=4, hidden=3, n_classes=5),
-                          MLPClassifier)
-        assert isinstance(build_model("seq_transduction", vocab=6, embed=4, hidden=5),
-                          RecurrentTransducer)
-        with pytest.raises(ValueError):
-            build_model("autoencoder")
+        assert isinstance(build_model(ModelConfig("classification", n_classes=5, input_dim=4,
+                                                  hidden=3)), MLPClassifier)
+        assert isinstance(build_model(ModelConfig("seq_transduction", vocab=6, embed=4,
+                                                  hidden=5)), RecurrentTransducer)
 
 
 class TestMLPGradients:
@@ -257,6 +256,51 @@ class TestStackedRecurrence:
                          oracle.backward(params, want_cache, dlogits))
 
 
+def rnn_stacked_operands(n, seed):
+    """(a, b) of each stacked product that ``RecurrentTransducer.forward`` and
+    ``.backward`` make, built as they build them: same dtypes, same views."""
+    vocab, embed, hidden = DESK_SIZES
+    model = RecurrentTransducer(vocab, embed, hidden)
+    rng = np.random.default_rng(seed)
+    params = (model.init_params(seed) + rng.normal(0.0, 0.3, model.n_params)).astype(np.float32)
+    v = model.views(params)
+    tokens = rng.integers(0, vocab, size=(n, 9))  # configs/sequence.ini: max_len = 9
+    _, (_, emb, hs) = model.forward(params, tokens)
+    dl = rng.normal(size=(n, 9, vocab))
+    dl_t, wo = np.moveaxis(dl[:, ::-1], 1, 0), v["wo"].astype(np.float64)
+    dzs = dl_t @ wo
+    dz_t = dzs.transpose(0, 2, 1)
+    return {
+        "forward xw": (np.moveaxis(emb, 1, 0), v["wx"].T),
+        "forward logits": (hs, v["wo"].T),
+        "backward dzs": (dl_t, wo),
+        "backward wx": (dz_t, np.moveaxis(emb[:, ::-1], 1, 0).astype(np.float64)),
+        "backward wh": (dz_t[:-1], np.moveaxis(hs.astype(np.float64)[:, -2::-1], 1, 0)),
+        "backward emb": (dzs, v["wx"].astype(np.float64)),
+    }
+
+
+def lockstep_operands(n, seed):
+    """A (9, 64, 16) @ (9, 16, 64) stack: nine MLP first layers trained in lockstep."""
+    rng = np.random.default_rng(seed)
+    w1 = rng.normal(size=(9, 64, 16)).astype(np.float32)
+    return {"lockstep": (rng.normal(size=(9, n, 16)).astype(np.float32), w1.transpose(0, 2, 1))}
+
+
+# sequence.ini batches of 32 and the last of 24 (600 = 18 * 32 + 24), and its 200-row splits
+@pytest.mark.parametrize("operands, n", [(rnn_stacked_operands, 32), (rnn_stacked_operands, 24),
+                                         (rnn_stacked_operands, 200), (lockstep_operands, 64)])
+def test_a_stacked_matmul_is_one_gemm_per_item(operands, n):
+    """The BLAS promise behind the stacked RNN: ``a @ b`` over a leading stack
+    axis equals, byte for byte, the stack of the per-item products."""
+    for seed in range(20):
+        for name, (a, b) in operands(n, seed).items():
+            stacked = a @ b
+            per_item = np.stack([a[i] @ (b if b.ndim == 2 else b[i]) for i in range(len(a))])
+            assert (stacked.dtype, stacked.shape) == (per_item.dtype, per_item.shape)
+            assert stacked.tobytes() == per_item.tobytes(), f"{name}, draw {seed}"
+
+
 def test_sequence_run_is_byte_identical_to_the_loop(tmp_path, monkeypatch):
     """Three desk-scale adaptive_skd epochs: every checkpoint, the registry
     index, the diagnostics and the calibration table match the per-step
@@ -265,8 +309,8 @@ def test_sequence_run_is_byte_identical_to_the_loop(tmp_path, monkeypatch):
     cfg = load_config(Path(__file__).parents[1] / "configs" / "sequence.ini",
                       ["training.epochs=3"])
     run_training(cfg, RunDir(tmp_path / "stacked"))
-    monkeypatch.setattr(trainer, "build_model", lambda task, *, vocab, embed, hidden, **_:
-                        LoopTransducer(vocab=vocab, embed=embed, hidden=hidden))
+    monkeypatch.setattr(trainer, "build_model", lambda model_cfg:
+                        LoopTransducer(model_cfg.vocab, model_cfg.embed, model_cfg.hidden))
     run_training(cfg, RunDir(tmp_path / "loop"))
     files = sorted(p.relative_to(tmp_path / "loop") for p in (tmp_path / "loop").rglob("*")
                    if p.is_file() and p.name != "manifest.json")

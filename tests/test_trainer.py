@@ -217,7 +217,7 @@ class TestForwardBackward:
         """Each real position's per-sample loss and weight are, bit for bit, what
         ``forward_backward`` applies to it, on peaked desk-scale predictions."""
         cfg = load_config(Path(__file__).parents[1] / "configs" / config)
-        model = build_model(**vars(cfg.model))
+        model = build_model(cfg.model)
         train_split = make_task_data(cfg.model, cfg.data, 0).train
         x, y = train_split.inputs[:64], train_split.targets[:64]
         mask = None if train_split.mask is None else train_split.mask[:64]
@@ -290,8 +290,7 @@ class TestForwardBackward:
     @pytest.mark.parametrize("method", list(METHODS))
     def test_no_mask_is_an_all_true_mask(self, method, task):
         cfg, splits = tiny_splits(task=task)
-        model = build_model(task, input_dim=cfg.input_dim, hidden=cfg.hidden,
-                            n_classes=cfg.n_classes, vocab=cfg.vocab, embed=cfg.embed)
+        model = build_model(cfg)
         params = model.init_params(5)
         teacher_params = model.init_params(6)
         teacher_params.flags.writeable = False
@@ -455,7 +454,8 @@ class TestTrainingLoop:
         write_diagnostics_csv(r.diagnostics, path)
         lines = path.read_text().splitlines()
         assert len(lines) == 4
-        assert lines[0].startswith("epoch,loss_mode,teacher_epoch")
+        assert lines[0] == ("epoch,loss_mode,teacher_epoch,mean_alpha,alpha_std,"
+                            "mean_grad_norm,train_loss,val_score")
         assert lines[1].split(",")[2] == ""  # no teacher at epoch 1
 
     def test_checkpoints_stored_every_epoch(self, tmp_path):
@@ -518,7 +518,7 @@ class TestEvaluate:
     def test_bleu_only_on_a_split_with_a_mask(self):
         for task in ("classification", "seq_transduction"):
             cfg, splits = tiny_splits(task=task)
-            model = build_model(**vars(cfg))
+            model = build_model(cfg)
             bleu = evaluate(model, model.init_params(0), splits.test).mini_bleu
             assert (bleu is None) == (task == "classification")
             assert bleu is None or 0.0 <= bleu <= 1.0
