@@ -32,7 +32,6 @@ from .losses import (
     uniform_prior,
     unigram_prior,
 )
-from .metrics import mini_bleu
 from .probs import adaptive_alpha, alpha_from_entropy, entropy, softmax
 from .registry import (
     CheckpointRegistry,

@@ -129,8 +129,7 @@ class RunConfig:
         return entries
 
 
-def _parse_sections(parser: configparser.ConfigParser,
-                    overrides: dict[tuple[str, str], str]) -> dict:
+def _parse_sections(parser: configparser.ConfigParser) -> dict:
     known = {section for section, _ in KEYS}
     for section in parser.sections():
         if section not in known:
@@ -138,15 +137,10 @@ def _parse_sections(parser: configparser.ConfigParser,
         for key in parser[section]:
             if (section, key) not in KEYS:
                 raise ConfigError("unknown key", field=f"{section}.{key}")
-    for section, key in overrides:
-        if (section, key) not in KEYS:
-            raise ConfigError("unknown key", field=f"{section}.{key}")
 
     values: dict = {}
     for (section, key), (parse, default) in KEYS.items():
-        raw = overrides.get((section, key))
-        if raw is None and parser.has_option(section, key):
-            raw = parser.get(section, key)
+        raw = parser.get(section, key, fallback=None)
         try:
             values.setdefault(section, {})[key] = default if raw is None else parse(raw)
         except ValueError as exc:
@@ -174,5 +168,6 @@ def load_config(path, overrides=()) -> RunConfig:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-    parsed_overrides = dict(parse_override(item) for item in overrides)
-    return RunConfig(values=_parse_sections(parser, parsed_overrides))
+    for (section, key), value in map(parse_override, overrides):  # the last one wins
+        parser.read_dict({section: {key: value}})  # keys fold case as in the file
+    return RunConfig(values=_parse_sections(parser))

@@ -62,7 +62,6 @@ class GradientReport:
     ratio_nontarget: np.ndarray
     flip_target: bool
     flip_nontarget: np.ndarray
-    alpha: float
     teacher_less_confident: bool
 
 
@@ -120,7 +119,6 @@ def gradient_ratio_rows(p_student, p_teacher, targets, alphas) -> GradientReport
         ratio_nontarget=ratio_nontarget,
         flip_target=ratio_target < 0.0,
         flip_nontarget=ratio_nontarget < 0.0,
-        alpha=a,
         teacher_less_confident=pt_y <= ps_y,
     )
 
@@ -193,8 +191,9 @@ class PropositionReport:
 
     ``high``/``low`` name the entropy order of a trial's two students, which
     share the target class ``target``: ``alpha_*`` are their smoothing weights,
-    ``w_*`` their mean rescaling factors. ``violation`` marks ``w_high > w_low``
-    failing by more than ``PROPOSITION_SLACK``; ``violations`` counts it.
+    ``w_*`` their mean rescaling factors, the closed-form target ratio that
+    ``gradient_ratio`` reports. ``violation`` marks ``w_high > w_low`` failing
+    by more than ``PROPOSITION_SLACK``; ``violations`` counts it.
     """
 
     valid_pairs: int
@@ -323,9 +322,7 @@ def proposition1_validate(
                                                       block.alpha_low, block.t, block.s)])
         taken += blocks[-1][0].size
     target, a_high, a_low, t, s = (np.concatenate(column) for column in zip(*blocks))
-    bracket = (t - s) / (t - 1.0)
-    w_high = (1.0 - a_high) + a_high * bracket
-    w_low = (1.0 - a_low) + a_low * bracket
+    w_high, w_low = _target_ratio(t, s, a_high), _target_ratio(t, s, a_low)
     violation = ~(w_high > w_low - PROPOSITION_SLACK)
     return PropositionReport(n_trials, int(violation.sum()), target, a_high, a_low,
                              w_high, w_low, violation)
@@ -340,7 +337,6 @@ class FlipCensus:
     target gradient flips direction at the given smoothing weight.
     """
 
-    alpha: float
     p_student: np.ndarray
     p_teacher: np.ndarray
     flip: np.ndarray
@@ -362,7 +358,7 @@ def flip_region_census(grid_resolution: int, alpha: float) -> FlipCensus:
     keep = pt <= ps
     ps = ps[keep]
     pt = pt[keep]
-    return FlipCensus(alpha=float(alpha), p_student=ps, p_teacher=pt,
+    return FlipCensus(p_student=ps, p_teacher=pt,
                       flip=_target_ratio(ps, pt, alpha) < 0.0)
 
 

@@ -3,33 +3,21 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
 from .probs import floored_log
 
 
-def mini_bleu(hypotheses: Sequence[Sequence], references: Sequence[Sequence], max_n: int = 4) -> float:
-    """Corpus-level BLEU: clipped n-gram precisions, geometric mean, brevity penalty.
-
-    Single reference per hypothesis, no smoothing. The geometric mean runs
-    over the n-gram orders the hypotheses actually realize (a corpus of
-    only short sequences simply has no high-order terms); any realized
-    order with zero matches collapses the score to 0. Tokens can be any
-    hashable values: one dict pass gives them dense ids for ``corpus_bleu``.
-    """
-    if len(hypotheses) != len(references):
-        raise ValueError("need one reference per hypothesis")
-    sentences = [list(s) for s in (*hypotheses, *references)]
-    ids: dict = {}
-    tokens = np.array([ids.setdefault(t, len(ids)) for s in sentences for t in s], dtype=np.int64)
-    return corpus_bleu(tokens, np.array([len(s) for s in sentences], dtype=np.int64), max_n)
-
-
 def corpus_bleu(tokens: np.ndarray, lengths: np.ndarray, max_n: int = 4) -> float:
-    """``mini_bleu`` of non-negative integer token ids: ``tokens`` holds the n
-    hypotheses, then their n references, and ``lengths`` the 2n sentence lengths.
+    """The ``mini_bleu`` metric: corpus BLEU of non-negative integer token ids, where
+    ``tokens`` holds the n hypotheses, then their n references, and ``lengths``
+    the 2n sentence lengths.
+
+    Clipped n-gram precisions, their geometric mean and the brevity penalty, with
+    one reference per hypothesis and no smoothing. The mean runs over the n-gram
+    orders the hypotheses realize (a corpus of only short sequences has no
+    high-order terms); any realized order with zero matches makes the score 0.
 
     N-grams are counted as packed integer keys. An order-n key is
     ``rank * n_ids + id`` of its last token (every id is below ``n_ids``),

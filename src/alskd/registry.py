@@ -103,10 +103,9 @@ class CheckpointRegistry:
     INDEX_NAME = "index.csv"
     CHECKPOINT_NAME = "epoch_{:05d}.ckpt"
 
-    def __init__(self, root, expected_param_count: int | None = None):
+    def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._expected_param_count = expected_param_count
         # epoch -> (file name, g_kind, val_score), read from the checkpoint headers
         self._entries: dict[int, tuple[str, str, float]] = {}
         for path in sorted(self.root.glob("epoch_*.ckpt")):
@@ -132,10 +131,6 @@ class CheckpointRegistry:
 
     def store(self, params: np.ndarray, epoch: int, val_score: float, g_kind: str) -> Path:
         """Durably write one epoch's checkpoint; the epoch joins once it is in place."""
-        if self._expected_param_count is not None and params.size != self._expected_param_count:
-            raise ValueError(
-                f"parameter count {params.size} does not match the declared "
-                f"{self._expected_param_count}")
         if not np.isfinite(val_score):
             raise ValueError(f"val_score must be finite, got {val_score!r}")
         if epoch in self._entries:

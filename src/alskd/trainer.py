@@ -76,10 +76,6 @@ class DivergenceError(RuntimeError):
         self.batch_index = batch_index
 
 
-class MissingTeacherError(RuntimeError):
-    """A self-distillation step past the fallback epoch has no teacher."""
-
-
 class ConfigError(ValueError):
     """An invalid or unknown configuration value, with the offending field."""
 
@@ -222,7 +218,8 @@ def epoch_loss(cfg: TrainConfig, epoch: int, n_classes: int, select_teacher,
     """Resolve ``cfg.method`` at ``epoch`` into the loss of all the epoch's batches.
 
     ``select_teacher(epoch)`` gives the teacher and ``labels`` are the training
-    labels of the unigram prior; only the methods that need them use them.
+    labels of the unigram prior; only the methods that need them use them. The
+    teacher methods need ``select_teacher`` after epoch 1.
     """
     mode = cfg.method
     if METHODS[mode].prior == "teacher" and epoch == 1:  # no checkpoint exists yet
@@ -230,9 +227,6 @@ def epoch_loss(cfg: TrainConfig, epoch: int, n_classes: int, select_teacher,
     kind, rule = METHODS[mode]
     prior = None  # the confidence penalty has no mixture prior
     if kind == "teacher":
-        if select_teacher is None:
-            raise MissingTeacherError(
-                f"method {mode!r} needs a teacher past epoch 1 (at epoch {epoch})")
         prior = select_teacher(epoch)
     elif kind == "unigram":
         prior = unigram_prior(labels, n_classes)
@@ -311,7 +305,7 @@ class TrainState:
         """A fresh run; refuses a registry directory that already holds epochs."""
         check_g_kind(model_cfg, cfg)
         model = build_model(model_cfg)
-        registry = CheckpointRegistry(registry_dir, expected_param_count=model.n_params)
+        registry = CheckpointRegistry(registry_dir)
         if len(registry):
             raise FileExistsError(f"{registry.root} already holds epochs {registry.epochs()}; "
                                   "a run starts in a directory without checkpoints")

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from alskd.metrics import corpus_bleu
+
 
 def central_difference(fn, z, step=1e-5):
     """Central finite-difference gradient of a scalar function of a vector."""
@@ -56,6 +58,15 @@ def open_failing_on_write(name_prefix: str, exc: BaseException):
             return self.fh.write(data)
 
     return File
+
+
+def bleu_of(hypotheses, references, max_n=4):
+    """``corpus_bleu`` of sentence pairs over any hashable tokens: one dict
+    pass gives the tokens dense ids."""
+    sentences = [list(s) for s in (*hypotheses, *references)]
+    ids: dict = {}
+    tokens = np.array([ids.setdefault(t, len(ids)) for s in sentences for t in s], dtype=np.int64)
+    return corpus_bleu(tokens, np.array([len(s) for s in sentences], dtype=np.int64), max_n)
 
 
 def counter_bleu(hypotheses, references, max_n=4):

@@ -159,6 +159,18 @@ class TestOverrides:
             load_text(MINIMAL, overrides=["model.depth=3"])
         assert err.value.field == "model.depth"
 
+    def test_override_keys_fold_case_like_file_keys(self, load_text):
+        """Keys are case-insensitive in the file and in an override; sections are not."""
+        assert load_text(MINIMAL.replace("seed = 7", "Seed = 3")).get("training", "seed") == 3
+        assert load_text(MINIMAL, overrides=["training.Seed=3"]).get("training", "seed") == 3
+        cfg = load_text(MINIMAL, overrides=["training.SEED=4", "training.seed=5"])
+        assert cfg.get("training", "seed") == 5  # the last override wins
+        for text, overrides in ((MINIMAL.replace("[training]", "[Training]"), ()),
+                                (MINIMAL, ["Training.seed=3"])):
+            with pytest.raises(ConfigError) as err:
+                load_text(text, overrides)
+            assert err.value.field == "Training"
+
     def test_malformed_override(self):
         with pytest.raises(ConfigError):
             parse_override("training.seed")

@@ -4,14 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import counter_bleu, open_failing_on_write
+from conftest import bleu_of, counter_bleu, open_failing_on_write
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alskd import artifacts as artifacts_module
 from alskd import registry as registry_module
 from alskd.data import PAD_ID, Split
-from alskd.metrics import mini_bleu
 from alskd.models import MLPClassifier
 from alskd.registry import (
     CheckpointRegistry,
@@ -330,7 +329,7 @@ class TestEvaluateG:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_mini_bleu_on_arrays_equals_decoded_lists(self, data):
-        """Scores from arrays equal the list API on decoded sentences and the Counter oracle."""
+        """Scores from arrays equal BLEU of the decoded sentences and the Counter oracle."""
         vocab = data.draw(st.integers(3, 12), label="symbols")
         n, t = data.draw(st.integers(1, 6), label="sequences"), data.draw(st.integers(1, 7))
         grid = st.lists(st.lists(st.integers(0, vocab - 1), min_size=t, max_size=t),
@@ -348,7 +347,7 @@ class TestEvaluateG:
         refs = [targets[i, :k].tolist() for i, k in enumerate(lengths)]
         hyps = greedy_decode(one_hot, None, split)
         score = evaluate(StubModel(one_hot), None, split).mini_bleu
-        assert score == mini_bleu(hyps, refs) == counter_bleu(hyps, refs)
+        assert score == bleu_of(hyps, refs) == counter_bleu(hyps, refs)
 
     def test_mini_bleu_needs_sequences(self, tmp_path):
         """A classification run cannot rank by mini_bleu; it is refused before its registry."""

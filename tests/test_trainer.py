@@ -21,7 +21,6 @@ from alskd.trainer import (
     DivergenceError,
     EpochDiagnostics,
     EpochLoss,
-    MissingTeacherError,
     ModelConfig,
     TeacherHandle,
     TrainConfig,
@@ -128,10 +127,6 @@ class TestTeacherLifecycle:
         r = train(cfg, tiny_train_cfg("adaptive_skd", epochs=6), splits, tmp_path / "run")
         scores = [r.registry.select_teacher(t).val_score for t in range(2, 7)]
         assert all(b >= a for a, b in zip(scores, scores[1:]))
-
-    def test_missing_teacher_past_fallback_epoch(self):
-        with pytest.raises(MissingTeacherError):
-            batch_loss("adaptive_skd", epoch=3)
 
     def test_teacher_refresh_once_per_epoch(self, tmp_path, monkeypatch):
         from alskd.registry import CheckpointRegistry
