@@ -32,7 +32,6 @@ class CalibrationReport:
     bins: list[CalibrationBin]
     ece: float
     mce: float
-    total_count: int
 
 
 def calibration_report(pairs, n_bins: int = 10) -> CalibrationReport:
@@ -81,7 +80,7 @@ def calibration_report(pairs, n_bins: int = 10) -> CalibrationReport:
         mce = max(mce, gap)
         bins.append(CalibrationBin(lower, upper, count, mean_conf, acc))
 
-    return CalibrationReport(bins=bins, ece=math.fsum(gaps), mce=float(mce), total_count=total)
+    return CalibrationReport(bins=bins, ece=math.fsum(gaps), mce=float(mce))
 
 
 def write_reliability_csv(report: CalibrationReport, path) -> None:

@@ -5,9 +5,9 @@ config, the seed, and every file produced, so a run can be audited and
 reproduced exactly. ``RunDir`` owns the output layout; a directory appears
 with its first file, so a run refused before its first write leaves nothing
 on disk. Relative output paths resolve under ``ALSKD_OUTPUT_ROOT`` when it
-is set. Exit codes are stable: 0 success, 2 configuration error, 3 runtime
-failure (divergence, exhausted sampling, a failed matrix entry), 4 I/O
-failure.
+is set. ``main`` alone maps a failure to its exit code, by class: 0 success,
+2 a ``ConfigError`` (always before the first write), 4 an ``OSError``, 3 any
+other exception, named by its class.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .gradlab import (
     write_proposition_csv,
     write_ratios_csv,
 )
-from .trainer import evaluate, make_task_data, train, write_diagnostics_csv
+from .trainer import ConfigError, evaluate, make_task_data, train, write_diagnostics_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -134,7 +134,7 @@ def cmd_ablation(args) -> int:
             manifests.append(run_training(entry_cfg, run.entry(label)))
         except Exception as exc:
             failure = OSError if isinstance(exc, OSError) else RuntimeError  # I/O exits 4
-            raise failure(f"ablation entry {label!r} failed: {exc}") from exc
+            raise failure(f"ablation entry {label!r} failed: {type(exc).__name__}: {exc}") from exc
 
     table = {"method": [label for label, _ in entries],
              "g_kind": [m["g_kind"] for m in manifests],
@@ -231,15 +231,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
-        # invalid option values surface as usage errors
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except RuntimeError as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

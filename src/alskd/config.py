@@ -131,6 +131,8 @@ class RunConfig:
 
 def _parse_sections(parser: configparser.ConfigParser) -> dict:
     known = {section for section, _ in KEYS}
+    if parser.defaults():  # configparser's defaults, which every section would inherit
+        raise ConfigError("unknown section", field=parser.default_section)
     for section in parser.sections():
         if section not in known:
             raise ConfigError("unknown section", field=section)

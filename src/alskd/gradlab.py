@@ -34,6 +34,7 @@ from .probs import (
     softmax,
     softmax_rows,
 )
+from .trainer import ConfigError
 
 
 class SamplingExhaustedError(RuntimeError):
@@ -159,8 +160,8 @@ def ratio_table(p_student, p_teacher, targets, alpha: float) -> RatioTable:
 def sampled_ratio_table(n_draws: int, class_count: int, alpha: float, seed: int) -> RatioTable:
     """``ratio_table`` of ``n_draws`` draws of, in this stream order, standard
     normal student logits, standard normal teacher logits and a target class."""
-    if not (0.0 <= alpha <= 1.0) or class_count < 2 or n_draws < 1:
-        raise ValueError("need alpha in [0, 1], class_count >= 2 and n_draws >= 1")
+    if not (0.0 <= alpha <= 1.0) or class_count < 2 or n_draws < 1 or seed < 0:
+        raise ConfigError("need alpha in [0, 1], class_count >= 2, n_draws >= 1 and seed >= 0")
     rng = np.random.default_rng(seed)
     c = class_count
     draws = [(rng.normal(size=c), rng.normal(size=c), rng.integers(c)) for _ in range(n_draws)]
@@ -212,8 +213,10 @@ PROPOSITION_SLACK = 1e-10
 
 
 # Candidates drawn per block by the proposition sampler; bounds its working
-# set to a few arrays of BLOCK_SIZE x class_count floats.
+# set to a few arrays of BLOCK_SIZE x class_count floats. No run draws more
+# than MAX_ATTEMPTS candidates.
 BLOCK_SIZE = 256
+MAX_ATTEMPTS = 10**6
 
 
 class PairBlock(NamedTuple):
@@ -281,12 +284,7 @@ def _sample_block(rng: np.random.Generator, class_count: int, size: int) -> Pair
     )))
 
 
-def proposition1_validate(
-    n_trials: int,
-    class_count: int,
-    seed: int,
-    max_attempts: int = 10**6,
-) -> PropositionReport:
+def proposition1_validate(n_trials: int, class_count: int, seed: int) -> PropositionReport:
     """Monte Carlo check of the rescaling-factor ordering on sampled pairs.
 
     Rejection-samples ``n_trials`` pairs satisfying the preconditions
@@ -297,24 +295,26 @@ def proposition1_validate(
 
     Candidates are drawn in blocks of ``BLOCK_SIZE`` and filtered as
     arrays; the first ``n_trials`` valid ones, in draw order, are the
-    trials. No more than ``max_attempts`` candidates are ever drawn, and
+    trials. No more than ``MAX_ATTEMPTS`` candidates are ever drawn, and
     ``SamplingExhaustedError`` is raised if they hold fewer valid pairs.
     Entropies are the trainer's row entropies, so every trial's smoothing
     weights equal ``adaptive_alpha`` of its two students, bit for bit.
     """
     if class_count < 3:
-        raise ValueError(f"class_count must be >= 3, got {class_count!r}")
+        raise ConfigError(f"class_count must be >= 3, got {class_count!r}")
     if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials!r}")
+        raise ConfigError(f"n_trials must be >= 1, got {n_trials!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
 
     blocks = []
     taken = drawn = 0
     while taken < n_trials:
-        size = min(BLOCK_SIZE, max_attempts - drawn)
+        size = min(BLOCK_SIZE, MAX_ATTEMPTS - drawn)
         if size <= 0:
             raise SamplingExhaustedError(
-                f"could not draw {n_trials} valid pairs in {max_attempts} attempts"
+                f"could not draw {n_trials} valid pairs in {MAX_ATTEMPTS} attempts"
             )
         block = _sample_block(rng, class_count, size)
         drawn += size
@@ -350,9 +350,9 @@ def flip_region_census(grid_resolution: int, alpha: float) -> FlipCensus:
     the analysis hypothesis and are excluded.
     """
     if grid_resolution < 1:
-        raise ValueError(f"grid_resolution must be >= 1, got {grid_resolution!r}")
+        raise ConfigError(f"grid_resolution must be >= 1, got {grid_resolution!r}")
     if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+        raise ConfigError(f"alpha must lie in [0, 1], got {alpha!r}")
     centers = (np.arange(grid_resolution) + 0.5) / grid_resolution
     ps, pt = np.meshgrid(centers, centers, indexing="ij")
     keep = pt <= ps

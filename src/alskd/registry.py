@@ -59,11 +59,9 @@ class CheckpointRecord:
 
 def write_checkpoint(path, params: np.ndarray, epoch: int, val_score: float, g_kind: str) -> None:
     """Write one checkpoint file; it appears under ``path`` only once complete."""
-    if g_kind not in _G_CODES:
-        raise ValueError(f"unknown g_kind {g_kind!r}, expected one of {G_KINDS}")
     flat = np.ascontiguousarray(params, dtype=np.float32).ravel()
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, flat.size, int(epoch),
-                          _G_CODES[g_kind], float(val_score))
+                          _G_CODES[g_kind], float(val_score))  # KeyError before any write
     with replacing(path, "wb") as fh:
         fh.write(header)
         fh.write(flat.astype("<f4").tobytes())
@@ -154,9 +152,7 @@ class CheckpointRegistry:
         return (score if g_kind in SCORE_LIKE else -score), epoch
 
     def load(self, epoch: int) -> CheckpointRecord:
-        if epoch not in self._entries:
-            raise KeyError(f"no checkpoint for epoch {epoch} in {self.root}")
-        name, _, _ = self._entries[epoch]
+        name, _, _ = self._entries[epoch]  # KeyError for an epoch not stored
         return read_checkpoint(self.root / name)
 
     def select_teacher(self, current_epoch: int) -> CheckpointRecord:

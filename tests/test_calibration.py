@@ -51,11 +51,11 @@ class TestReportValues:
         report = calibration_report(pairs((0.65, 50, 30), (0.95, 50, 40)), n_bins=10)
         assert report.ece == pytest.approx(0.10, abs=1e-12)
         assert report.mce == pytest.approx(0.15, abs=1e-12)
-        assert report.total_count == 100
+        assert sum(b.count for b in report.bins) == 100
 
     def test_empty_bins_contribute_nothing(self):
         report = calibration_report(pairs((0.95, 4, 2)), n_bins=10)
-        assert sum(b.count for b in report.bins) == report.total_count == 4
+        assert sum(b.count for b in report.bins) == 4
         assert sum(b.count > 0 for b in report.bins) == 1
         empty = report.bins[0]
         assert empty.count == 0 and empty.accuracy is None and empty.mean_confidence is None

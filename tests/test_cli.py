@@ -1,11 +1,12 @@
 import csv
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from alskd import trainer
+from alskd import cli, trainer
 from alskd.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, RunDir, main, run_training
 from alskd.config import RunConfig
 from alskd.gradlab import gradient_ratio
@@ -112,6 +113,22 @@ class TestTrainCommand:
         bad.write_text(TINY.replace("name = adaptive_skd", "name = focal"))
         assert main(["train", "--config", str(bad), "--output", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "method.name" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text,extra,message", [
+        ("classes = 4\n" + TINY, [], "malformed config"),  # a key before any section header
+        (None, [], "config file not found"),
+        (TINY, ["--set", "training.seed"], "override must look like section.key=value"),
+    ], ids=["malformed", "missing", "override"])
+    def test_unreadable_config_exits_with_config_code(self, tmp_path, capsys, text, extra,
+                                                      message):
+        path = tmp_path / "run.ini"
+        if text is not None:
+            path.write_text(text)
+        assert main(["train", "--config", str(path), "--output", str(tmp_path / "o"),
+                     *extra]) == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_divergence_exits_with_runtime_code(self, tiny_config, tmp_path, capsys):
         import numpy as np
@@ -123,6 +140,44 @@ class TestTrainCommand:
                          "--set", "training.warmup_steps=0"])
         assert code == EXIT_RUNTIME
         assert "non-finite" in capsys.readouterr().err
+
+    def test_a_non_finite_validation_score_is_a_runtime_failure(self, tiny_config, tmp_path,
+                                                                capsys):
+        # one batch per epoch: every training loss stays finite, but epoch 2's validation
+        # nll is NaN, which the registry refuses after epoch 1's files are written
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", "--config", str(tiny_config), "--output", str(tmp_path / "o"),
+                         "--set", "training.learning_rate=3e38",
+                         "--set", "training.warmup_steps=0", "--set", "method.g_kind=nll",
+                         "--set", "training.batch_size=120"])
+        assert code == EXIT_RUNTIME
+        assert "run failed: ValueError: val_score must be finite" in capsys.readouterr().err
+
+    def test_a_lookup_error_is_a_runtime_failure(self, tiny_config, tmp_path, monkeypatch,
+                                                 capsys):
+        def missing(*args, **kwargs):
+            raise KeyError("no such split")
+
+        monkeypatch.setattr(cli, "make_task_data", missing)
+        assert main(["train", "--config", str(tiny_config),
+                     "--output", str(tmp_path / "o")]) == EXIT_RUNTIME
+        assert "run failed: KeyError: 'no such split'" in capsys.readouterr().err
+
+    def test_a_closed_stdout_is_an_io_failure_after_every_artifact(self, tiny_config, tmp_path,
+                                                                   monkeypatch, capsys):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        out = tmp_path / "out"
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["train", "--config", str(tiny_config), "--output", str(out)]) == EXIT_IO
+        assert "i/o failure: [Errno 32] Broken pipe" in capsys.readouterr().err
+        for artifact in listed_files(manifest_of(out)):
+            assert (out / artifact).exists(), artifact
 
     def test_io_failure_exits_with_io_code(self, tiny_config, tmp_path, monkeypatch):
         def no_batch(*args, **kwargs):
@@ -227,6 +282,16 @@ class TestGradlabCommands:
                      "--output", str(out)]) == EXIT_CONFIG
         assert main(["gradlab", "flipmap", "--alpha", "2.0",
                      "--output", str(out)]) == EXIT_CONFIG
+        assert main(["gradlab", "proposition", "--classes", "2",
+                     "--output", str(out)]) == EXIT_CONFIG
+        assert main(["gradlab", "ratios", "--alpha", "0.5", "--classes", "1",
+                     "--output", str(out)]) == EXIT_CONFIG
+        assert main(["gradlab", "flipmap", "--alpha", "0.5", "--resolution", "0",
+                     "--output", str(out)]) == EXIT_CONFIG
+        assert main(["gradlab", "ratios", "--alpha", "0.5", "--seed", "-1",
+                     "--output", str(out)]) == EXIT_CONFIG
+        assert main(["gradlab", "proposition", "--seed", "-1",
+                     "--output", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
 
@@ -314,6 +379,7 @@ class TestAblationCommand:
         path.write_text(TINY)
         assert main(["ablation", "--config", str(path),
                      "--output", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command,extra,field", [
@@ -353,6 +419,12 @@ class TestAblationCommand:
      "training.warmup_steps"),
     # the task rule of the model schema
     ("train", ["--set", "method.name=base_ce", "--set", "model.task=autoencoder"], "model.task"),
+    # unknown sections and keys, and a value that does not parse
+    ("train", ["--set", "method.name=base_ce", "--set", "logging.level=1"], "logging"),
+    ("train", ["--set", "method.name=base_ce", "--set", "model.depth=3"], "model.depth"),
+    ("train", ["--set", "method.name=base_ce", "--set", "training.epochs=two"], "training.epochs"),
+    # configparser's DEFAULT section would reach every section; it is no section of ours
+    ("train", ["--set", "method.name=base_ce", "--set", "DEFAULT.x=1"], "DEFAULT"),
 ])
 def test_config_errors_exit_before_anything_is_written(tmp_path, capsys, command, extra, field):
     path = tmp_path / "ablation.ini"

@@ -131,6 +131,9 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             load_text(MINIMAL + "\n[logging]\nlevel = debug\n")
         assert err.value.field == "logging"
+        with pytest.raises(ConfigError) as err:  # not inherited by every section
+            load_text(MINIMAL + "\n[DEFAULT]\nx = 1\n")
+        assert err.value.field == "DEFAULT"
 
     def test_bad_value_type(self, load_text):
         with pytest.raises(ConfigError) as err:

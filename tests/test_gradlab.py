@@ -127,6 +127,13 @@ class TestGradientRatio:
         with pytest.raises(ValueError):
             gradient_ratio(p, p.copy(), 1.7, 0.5)
 
+    def test_mismatched_pair_or_weight_rejected(self):
+        p = np.array([0.5, 0.3, 0.2])
+        with pytest.raises(ValueError, match="differ in length"):
+            gradient_ratio(p, np.array([0.5, 0.5]), 0, 0.5)
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+            gradient_ratio(p, p.copy(), 0, 1.5)
+
     def test_region_flag(self):
         p_s = np.array([0.4, 0.3, 0.3])
         p_t = np.array([0.6, 0.2, 0.2])
@@ -232,10 +239,11 @@ class TestProposition:
         with pytest.raises(ValueError):
             proposition1_validate(10, 2, 0)
 
-    def test_exhausted_sampling(self):
+    def test_exhausted_sampling(self, monkeypatch):
         for max_attempts in (0, 9):
+            monkeypatch.setattr(gradlab, "MAX_ATTEMPTS", max_attempts)
             with pytest.raises(SamplingExhaustedError):
-                proposition1_validate(10, 5, 0, max_attempts=max_attempts)
+                proposition1_validate(10, 5, 0)
 
     @pytest.mark.parametrize("n_trials, max_attempts, exhausts", [
         (10, 9, True), (2000, 1500, True), (2000, 10**6, False)])
@@ -257,12 +265,13 @@ class TestProposition:
                 return getattr(self.rng, name)
 
         monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        monkeypatch.setattr(gradlab, "MAX_ATTEMPTS", max_attempts)
         if exhausts:
             with pytest.raises(SamplingExhaustedError):
-                proposition1_validate(n_trials, 5, 0, max_attempts=max_attempts)
+                proposition1_validate(n_trials, 5, 0)
             assert sum(candidates) == max_attempts
         else:
-            report = proposition1_validate(n_trials, 5, 0, max_attempts=max_attempts)
+            report = proposition1_validate(n_trials, 5, 0)
             assert report.valid_pairs == n_trials
             assert sum(candidates) <= max_attempts
 

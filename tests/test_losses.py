@@ -98,6 +98,10 @@ class TestKnowledgeDistillation:
         _, grad = kd_loss(z, z.copy(), 0, 1.0)
         np.testing.assert_allclose(grad, 0.0, atol=1e-14)
 
+    def test_weight_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+            kd_loss([1.0, -0.3, 0.2], [0.0, 0.0, 0.0], 0, 1.5)
+
     def test_known_gradient(self):
         _, grad = kd_loss(logits_for([0.7, 0.2, 0.1]), logits_for([0.5, 0.3, 0.2]), 0, 0.5)
         np.testing.assert_allclose(grad, [-0.05, 0.05, 0.0], atol=1e-12)
@@ -334,8 +338,14 @@ class TestPriors:
         with pytest.raises(ValueError):
             unigram_prior([0, 5], 3)
 
+    def test_fewer_than_two_classes_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 classes"):
+            uniform_prior(1)
+        with pytest.raises(ValueError, match="at least 2 classes"):
+            unigram_prior([0, 0], 1)
+
     @pytest.mark.parametrize("prior", [[-0.1, 0.6, 0.5], [0.2, 0.2, 0.2], [0.5, 0.6, -0.1],
-                                       [[0.2, 0.3, 0.5]], [np.nan, 0.5, 0.5]])
+                                       [[0.2, 0.3, 0.5]], [np.nan, 0.5, 0.5], [0.5, 0.5]])
     def test_label_smoothing_rejects_an_invalid_prior(self, prior):
         with pytest.raises(ValueError):
             label_smoothing_loss([0.3, -0.2, 1.0], 0, prior, 0.1)

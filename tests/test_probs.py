@@ -79,6 +79,8 @@ class TestEntropy:
             entropy([0.5, 0.6])
         with pytest.raises(ValueError):
             entropy([-0.1, 1.1])
+        with pytest.raises(ValueError, match="non-empty"):
+            entropy([])
 
 
 class TestAdaptiveAlpha:

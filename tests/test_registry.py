@@ -94,14 +94,16 @@ class TestBinaryFormat:
         with pytest.raises(ValueError):
             read_checkpoint(path)
 
-    @pytest.mark.parametrize("damage", ["header", "body", "extra", "magic"])
+    @pytest.mark.parametrize("damage", ["header", "body", "extra", "magic", "version", "metric"])
     def test_corruption_is_an_io_error_naming_the_file(self, tmp_path, damage):
         path = tmp_path / "ck.bin"
         write_checkpoint(path, np.arange(4, dtype=np.float32), epoch=1, val_score=0.5,
                          g_kind="accuracy")
         raw = path.read_bytes()
         path.write_bytes({"header": raw[:20], "body": raw[:-1], "extra": raw + b"\x00",
-                          "magic": b"ALSX" + raw[4:]}[damage])
+                          "magic": b"ALSX" + raw[4:],
+                          "version": raw[:4] + struct.pack("<I", 2) + raw[8:],
+                          "metric": raw[:20] + struct.pack("<I", 3) + raw[24:]}[damage])
         with pytest.raises(CorruptCheckpointError, match="ck.bin") as err:
             read_checkpoint(path)
         assert isinstance(err.value, OSError) and isinstance(err.value, ValueError)

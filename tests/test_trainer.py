@@ -330,6 +330,17 @@ class TestSequenceTask:
         np.testing.assert_array_equal(a.grad, b.grad)
         assert a.alphas.size == int(data.mask[:16].sum())
 
+    def test_an_all_pad_batch_is_refused(self):
+        cfg, splits = tiny_splits(task="seq_transduction")
+        from alskd.models import RecurrentTransducer
+
+        model = RecurrentTransducer(vocab=cfg.vocab, embed=cfg.embed, hidden=cfg.hidden)
+        data = splits.train
+        with pytest.raises(ValueError, match="no non-pad positions"):
+            forward_backward(model, model.init_params(0), data.inputs[:4], data.targets[:4],
+                             batch_loss("base_ce", n_classes=model.n_classes),
+                             mask=np.zeros_like(data.mask[:4]))
+
 
 class TestTrainingLoop:
     def test_divergence_aborts_with_location(self, tmp_path):
@@ -525,5 +536,5 @@ class TestEvaluate:
         r = train(cfg, tiny_train_cfg("base_ce", epochs=2), splits, tmp_path / "run")
         result = evaluate(r.model, r.params, splits.test)
         report = calibration_report(result.pairs, n_bins=10)
-        assert report.total_count == len(splits.test)
+        assert sum(b.count for b in report.bins) == len(splits.test)
         assert 0.0 <= report.ece <= report.mce <= 1.0
