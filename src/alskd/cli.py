@@ -132,9 +132,9 @@ def cmd_ablation(args) -> int:
     for label, entry_cfg in entries:
         try:
             manifests.append(run_training(entry_cfg, run.entry(label)))
-        except Exception as exc:
-            failure = OSError if isinstance(exc, OSError) else RuntimeError  # I/O exits 4
-            raise failure(f"ablation entry {label!r} failed: {type(exc).__name__}: {exc}") from exc
+        except Exception:
+            print(f"ablation entry {label!r} failed", file=sys.stderr)  # main names the class
+            raise
 
     table = {"method": [label for label, _ in entries],
              "g_kind": [m["g_kind"] for m in manifests],

@@ -8,10 +8,12 @@ higher-entropy sample of a pair always receives the larger mean rescaling
 factor.
 
 The validator rejection-samples candidate pairs in fixed-size blocks of
-array draws; only the teacher's target mass enters the mean rescaling
-factor, so no teacher distribution is drawn. Its entropies are the
-trainer's row entropies (``probs.entropy_rows``), so each pair's smoothing
-weights are ``adaptive_alpha`` of its students, bit for bit.
+array draws: each block is projected and scored in one pass over all its
+rows, then one selection keeps the valid ones. Only the teacher's target
+mass enters the mean rescaling factor, so no teacher distribution is
+drawn. Its entropies are the trainer's row entropies
+(``probs.entropy_rows``), so each pair's smoothing weights are
+``adaptive_alpha`` of its students, bit for bit.
 
 Undefined ratios (zero cross-entropy gradient component) are marked with
 NaN rather than infinity, and consumers count them separately.
@@ -222,17 +224,12 @@ MAX_ATTEMPTS = 10**6
 class PairBlock(NamedTuple):
     """The valid candidate pairs of one block, in draw order.
 
-    Row ``i`` holds two student distributions with the shared target
-    probability ``t[i]`` and strictly ordered entropies ``h_high[i] >
-    h_low[i]``, their smoothing weights, and the teacher's target mass
-    ``s[i] < t[i]``.
+    Row ``i`` holds the shared target class and target probability ``t[i]``
+    of two students with strictly ordered entropies, their smoothing
+    weights, and the teacher's target mass ``s[i] < t[i]``.
     """
 
     target: np.ndarray
-    p_high: np.ndarray
-    p_low: np.ndarray
-    h_high: np.ndarray
-    h_low: np.ndarray
     alpha_high: np.ndarray
     alpha_low: np.ndarray
     t: np.ndarray
@@ -248,6 +245,9 @@ def _sample_block(rng: np.random.Generator, class_count: int, size: int) -> Pair
     samples, matching the shared rescaling bracket the ordering claim
     compares against. The teachers' off-target mass never enters the
     mean rescaling factor, so it is not drawn.
+
+    Every row-wise step runs once over all ``size`` candidates; one index
+    at the end keeps the rows that meet the preconditions.
     """
     target = rng.integers(class_count, size=size)
     p_a = rng.dirichlet(np.ones(class_count), size=size)
@@ -258,30 +258,21 @@ def _sample_block(rng: np.random.Generator, class_count: int, size: int) -> Pair
     t = p_a[rows, target]
     tb = p_b[rows, target]
     s = t * u
-    keep = np.flatnonzero((t > 0.0) & (t < 1.0) & (tb < 1.0) & (s < t))
-    target, p_a, p_b, t, tb, s = (x[keep] for x in (target, p_a, p_b, t, tb, s))
-    p_b = p_b * ((1.0 - t) / (1.0 - tb))[:, np.newaxis]
-    p_b[np.arange(keep.size), target] = t
+    # a p_b one-hot on the target cannot be projected; its row is dropped
+    # below, and the divisor 1.0 only keeps the arithmetic finite
+    p_b *= ((1.0 - t) / np.where(tb < 1.0, 1.0 - tb, 1.0))[:, np.newaxis]
+    p_b[rows, target] = t
 
     # The trainer's row entropies: a pair is kept or dropped, and ordered, on
     # the entropies behind ``adaptive_alpha`` of its students, bit for bit.
     h_a = entropy_rows(p_a, floored_log(p_a))
     h_b = entropy_rows(p_b, floored_log(p_b))
-    a_high = (h_a > h_b)[:, np.newaxis]
-    h_high = np.maximum(h_a, h_b)
-    h_low = np.minimum(h_a, h_b)
-    distinct = h_a != h_b
-    return PairBlock(*(x[distinct] for x in (
-        target,
-        np.where(a_high, p_a, p_b),
-        np.where(a_high, p_b, p_a),
-        h_high,
-        h_low,
-        alpha_from_entropy(h_high, class_count),
-        alpha_from_entropy(h_low, class_count),
-        t,
-        s,
-    )))
+    keep = np.flatnonzero((t > 0.0) & (t < 1.0) & (tb < 1.0) & (s < t) & (h_a != h_b))
+    h_a, h_b = h_a[keep], h_b[keep]
+    return PairBlock(target[keep],
+                     alpha_from_entropy(np.maximum(h_a, h_b), class_count),
+                     alpha_from_entropy(np.minimum(h_a, h_b), class_count),
+                     t[keep], s[keep])
 
 
 def proposition1_validate(n_trials: int, class_count: int, seed: int) -> PropositionReport:

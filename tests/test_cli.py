@@ -353,7 +353,10 @@ class TestAblationCommand:
                          "--set", "training.learning_rate=3e38",
                          "--set", "training.warmup_steps=0"])
         assert code == EXIT_RUNTIME
-        assert "base_ce" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "base_ce" in err
+        # the label line, then the entry's own class, as a failed train run prints it
+        assert "ablation entry 'base_ce' failed\nrun failed: DivergenceError:" in err
 
     def test_io_failure_in_an_entry_exits_with_io_code(self, tmp_path, capsys):
         cfg = self.ablation_config(tmp_path, "base_ce, adaptive_skd")

@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,8 +12,10 @@ from alskd import gradlab
 from alskd.gradlab import (
     BLOCK_SIZE,
     PROPOSITION_SLACK,
+    PairBlock,
     SamplingExhaustedError,
     _sample_block,
+    _target_ratio,
     flip_region_census,
     gradient_ratio,
     gradient_ratio_rows,
@@ -21,7 +25,7 @@ from alskd.gradlab import (
     write_proposition_csv,
 )
 from alskd.losses import ce_loss, kd_loss
-from alskd.probs import adaptive_alpha, entropy_rows, floored_log, softmax
+from alskd.probs import adaptive_alpha, alpha_from_entropy, entropy_rows, floored_log, softmax
 
 
 def region_draw(rng, n):
@@ -211,6 +215,63 @@ class TestRatioConsistency:
 TRIAL_COLUMNS = ("target", "alpha_high", "alpha_low", "w_high", "w_low", "violation")
 
 
+class ReferenceBlock(NamedTuple):
+    target: np.ndarray
+    p_high: np.ndarray
+    p_low: np.ndarray
+    h_high: np.ndarray
+    h_low: np.ndarray
+    alpha_high: np.ndarray
+    alpha_low: np.ndarray
+    t: np.ndarray
+    s: np.ndarray
+
+
+def reference_block(rng, class_count, size):
+    """Reference implementation of ``_sample_block``: it filters the candidates
+    after each step, so it never projects or scores a row it drops, and it also
+    returns the ordered student distributions and their entropies."""
+    target = rng.integers(class_count, size=size)
+    p_a = rng.dirichlet(np.ones(class_count), size=size)
+    p_b = rng.dirichlet(np.ones(class_count), size=size)
+    u = rng.uniform(size=size)
+
+    rows = np.arange(size)
+    t = p_a[rows, target]
+    tb = p_b[rows, target]
+    s = t * u
+    keep = np.flatnonzero((t > 0.0) & (t < 1.0) & (tb < 1.0) & (s < t))
+    target, p_a, p_b, t, tb, s = (x[keep] for x in (target, p_a, p_b, t, tb, s))
+    p_b = p_b * ((1.0 - t) / (1.0 - tb))[:, np.newaxis]
+    p_b[np.arange(keep.size), target] = t
+
+    h_a = entropy_rows(p_a, floored_log(p_a))
+    h_b = entropy_rows(p_b, floored_log(p_b))
+    a_high = (h_a > h_b)[:, np.newaxis]
+    h_high = np.maximum(h_a, h_b)
+    h_low = np.minimum(h_a, h_b)
+    distinct = h_a != h_b
+    return ReferenceBlock(*(x[distinct] for x in (
+        target,
+        np.where(a_high, p_a, p_b),
+        np.where(a_high, p_b, p_a),
+        h_high,
+        h_low,
+        alpha_from_entropy(h_high, class_count),
+        alpha_from_entropy(h_low, class_count),
+        t,
+        s,
+    )))
+
+
+def assert_same_columns(block, reference):
+    """Each of ``block``'s columns has the dtype and bytes of ``reference``'s."""
+    for name in PairBlock._fields:
+        column, expected = getattr(block, name), getattr(reference, name)
+        assert column.dtype == expected.dtype, name
+        assert column.tobytes() == expected.tobytes(), name
+
+
 class TestProposition:
     def test_no_violations_across_seeds(self):
         for seed in (0, 3333, 5555):
@@ -279,21 +340,85 @@ class TestProposition:
     def test_sampled_rows_meet_the_preconditions(self, class_count):
         for seed in (0, 7):
             block = _sample_block(np.random.default_rng(seed), class_count, BLOCK_SIZE)
+            ref = reference_block(np.random.default_rng(seed), class_count, BLOCK_SIZE)
+            assert_same_columns(block, ref)
             n = block.target.size
             assert BLOCK_SIZE // 2 < n <= BLOCK_SIZE
             # the first block's valid rows are the first trials, in order
             report = proposition1_validate(n, class_count, seed)
             for i in range(report.valid_pairs):
                 y, t = block.target[i], block.t[i]
-                p_high, p_low = block.p_high[i], block.p_low[i]
+                p_high, p_low = ref.p_high[i], ref.p_low[i]
                 assert report.target[i] == y
-                assert block.h_high[i] == entropy_rows(p_high[None], floored_log(p_high[None]))[0]
-                assert block.h_low[i] == entropy_rows(p_low[None], floored_log(p_low[None]))[0]
-                assert block.h_high[i] > block.h_low[i]
+                assert ref.h_high[i] == entropy_rows(p_high[None], floored_log(p_high[None]))[0]
+                assert ref.h_low[i] == entropy_rows(p_low[None], floored_log(p_low[None]))[0]
+                assert ref.h_high[i] > ref.h_low[i]
                 assert report.alpha_high[i] == block.alpha_high[i] == adaptive_alpha(p_high)
                 assert report.alpha_low[i] == block.alpha_low[i] == adaptive_alpha(p_low)
                 assert p_high[y] == p_low[y] == t
                 assert block.s[i] < t
+
+    @pytest.mark.parametrize("class_count, seed", [(3, 0), (10, 7), (12, 11)])
+    def test_trials_match_a_validator_loop_over_the_reference(self, class_count, seed):
+        n_trials = 3000
+        rng = np.random.default_rng(seed)
+        blocks = []
+        taken = 0
+        while taken < n_trials:
+            block = reference_block(rng, class_count, BLOCK_SIZE)
+            blocks.append([x[:n_trials - taken] for x in (block.target, block.alpha_high,
+                                                          block.alpha_low, block.t, block.s)])
+            taken += blocks[-1][0].size
+        # about a dozen blocks, and the last one holds more valid rows than it gives
+        assert len(blocks) > 10
+        assert blocks[-1][0].size < block.target.size
+        target, a_high, a_low, t, s = (np.concatenate(column) for column in zip(*blocks))
+        w_high, w_low = _target_ratio(t, s, a_high), _target_ratio(t, s, a_low)
+        expected = {"target": target, "alpha_high": a_high, "alpha_low": a_low,
+                    "w_high": w_high, "w_low": w_low,
+                    "violation": ~(w_high > w_low - PROPOSITION_SLACK)}
+
+        report = proposition1_validate(n_trials, class_count, seed)
+        assert report.valid_pairs == n_trials
+        assert report.violations == int(expected["violation"].sum())
+        for name in TRIAL_COLUMNS:
+            column = getattr(report, name)
+            assert column.dtype == expected[name].dtype, name
+            assert column.tobytes() == expected[name].tobytes(), name
+
+    def test_degenerate_rows_are_dropped_without_a_warning(self):
+        default_rng = np.random.default_rng
+
+        class DegenerateRng:
+            # the first block's p_a row 0 and p_b row 1 are one-hot on their
+            # targets: t == 1 in row 0, and tb == 1 (nothing to project) in row 1
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+                self.one_hot_rows = [0, 1]
+
+            def integers(self, high, size):
+                self.target = self.rng.integers(high, size=size)
+                return self.target
+
+            def dirichlet(self, alpha, size):
+                p = self.rng.dirichlet(alpha, size=size)
+                if self.one_hot_rows:
+                    row = self.one_hot_rows.pop(0)
+                    p[row] = np.eye(len(alpha))[self.target[row]]
+                return p
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        class_count, seed = 5, 0
+        plain = _sample_block(default_rng(seed), class_count, BLOCK_SIZE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = _sample_block(DegenerateRng(seed), class_count, BLOCK_SIZE)
+        assert_same_columns(block, reference_block(DegenerateRng(seed), class_count, BLOCK_SIZE))
+        # rows 0 and 1 are valid in the plain draw and dropped from the degenerate one
+        assert block.target.size == plain.target.size - 2
+        assert_same_columns(block, PairBlock(*(x[2:] for x in plain)))
 
     def test_same_seed_same_trials(self):
         # 1500 pairs span several blocks; a shorter run is a prefix of a longer one
