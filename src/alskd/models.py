@@ -13,6 +13,13 @@ numpy runs as one gemm per step of exactly the per-step shape, so results
 stay bit-identical to a per-step loop. Never flatten the n*T rows into one
 gemm: BLAS may round a row differently with the row count (OpenBLAS does
 for (M, 32) @ (32, 32) between M <= 32 and M >= 64).
+
+The same rule bounds which rows may share a forward: a row's logits may
+depend on the row count and on the row's place in the batch, never on the
+other rows' values. At the shipped shapes a row gets the same bits anywhere
+in a batch of ``batch_size`` rows or in the short last batch (64 and 28 rows
+for the classifier, 32 and 24 for the RNN), which the trainer's teacher
+table relies on. A full-set forward (1,500 or 600 rows) changes every row.
 """
 
 from __future__ import annotations
@@ -136,7 +143,7 @@ class RecurrentTransducer(_FlatParamModel):
         tok = np.asarray(tokens, dtype=np.int64)
         n, t_max = tok.shape
         emb = v["emb"][tok]  # (n, T, embed)
-        xw = np.moveaxis(emb, 1, 0) @ v["wx"].T  # (T, n, hidden)
+        xw = emb.transpose(1, 0, 2) @ v["wx"].T  # (T, n, hidden)
         hs = np.empty((n, t_max, self.hidden), dtype=params.dtype)
         h = np.zeros((n, self.hidden), dtype=params.dtype)
         for t in range(t_max):
@@ -156,7 +163,7 @@ class RecurrentTransducer(_FlatParamModel):
         g["bo"][:] = dl.sum(axis=(0, 1))
 
         # (T, n, ...) stacks, last step first, so sums over steps run in loop order
-        dzs = np.moveaxis(dl[:, ::-1], 1, 0) @ v["wo"].astype(np.float64)
+        dzs = dl[:, ::-1].transpose(1, 0, 2) @ v["wo"].astype(np.float64)
         dtanh = hs64 * hs64
         np.subtract(1.0, dtanh, out=dtanh)
         wh, dh_next = v["wh"].astype(np.float64), np.zeros(dzs.shape[1:])
@@ -165,14 +172,14 @@ class RecurrentTransducer(_FlatParamModel):
             dh_next = np.multiply(dz, dtanh[:, -1 - k], out=dz) @ wh
         del dtanh  # freed before the stacks below, for a smaller peak heap
         dz_t = dzs.transpose(0, 2, 1)
-        emb_rev = np.moveaxis(emb[:, ::-1], 1, 0).astype(np.float64)
+        emb_rev = emb[:, ::-1].transpose(1, 0, 2).astype(np.float64)
         g["wx"][:] = np.add.reduce(dz_t @ emb_rev, axis=0, initial=0.0)
         # step 0's zero input state adds only +-0 (for finite dz) to a sum begun at +0.0
-        h_prev = np.moveaxis(hs64[:, -2::-1], 1, 0)
+        h_prev = hs64[:, -2::-1].transpose(1, 0, 2)
         g["wh"][:] = np.add.reduce(dz_t[:-1] @ h_prev, axis=0, initial=0.0)
         g["bh"][:] = np.add.reduce(dzs.sum(axis=1), axis=0, initial=0.0)
         # embedding rows: one bin per (token, column), filled in position order
-        demb = np.moveaxis(dzs @ v["wx"].astype(np.float64), 0, 1)[:, ::-1]
+        demb = (dzs @ v["wx"].astype(np.float64)).transpose(1, 0, 2)[:, ::-1]
         bins = tok[..., np.newaxis] * self.embed + np.arange(self.embed)
         g["emb"][:] = np.bincount(bins.ravel(), weights=demb.ravel(),
                                   minlength=g["emb"].size).reshape(g["emb"].shape)

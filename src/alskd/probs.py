@@ -92,9 +92,14 @@ def adaptive_alpha(p) -> float:
 # no per-row validation).
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis of a 2-D float array."""
+    """Softmax along the last axis of a 2-D float array.
+
+    The row max reduces the transposed copy column-wise, which is several times
+    faster for short rows than ``z.max(axis=-1)`` and exact in any order; a
+    signed-zero pair may yield either zero, which ``z - m`` and ``exp`` absorb.
+    The row sums stay ``np.sum``, whose pairwise order is not exact."""
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
+    z = z - np.maximum.reduce(z.T.copy(), axis=0)[:, np.newaxis]
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 

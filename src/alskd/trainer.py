@@ -5,8 +5,10 @@
 ``epoch_loss`` turns the method's row of ``METHODS`` into an ``EpochLoss``
 that ``forward_backward`` applies to every batch. For the self-distillation
 methods, epoch 1 falls back to plain cross entropy (no checkpoint exists
-yet) and every later epoch runs a ``TeacherHandle``: the model on the best
-earlier checkpoint. ``evaluate`` scores every split, validation and test.
+yet) and every later epoch learns from the best earlier checkpoint. That
+teacher runs once per selection, not once per batch: its softmax at every
+training position fills a ``TeacherTable``, from which ``advance`` gathers
+each batch's prior rows. ``evaluate`` scores every split, validation and test.
 
 The loop is single-threaded and deterministic given the root seed. Model
 parameters are float32; losses, smoothing weights, and metrics accumulate
@@ -203,21 +205,49 @@ class TeacherHandle:
     def logits(self, inputs) -> np.ndarray:
         return self.model.forward(self.checkpoint.params, inputs)[0]
 
+    def probs_table(self, inputs, batch_size: int) -> TeacherTable:
+        """The teacher's softmax at every position of ``inputs``, shaped like its logits.
+
+        Index-order chunks of ``batch_size`` rows, each softmaxed into its slice
+        of one table, have the training batches' row counts, so every row gets
+        the bits its batch's forward would (the row rule in ``models``).
+        """
+        probs = None
+        for start in range(0, len(inputs), batch_size):
+            logits = self.logits(inputs[start:start + batch_size])
+            if probs is None:
+                probs = np.empty((len(inputs), *logits.shape[1:]))
+            probs[start:start + len(logits)] = softmax_rows(
+                logits.reshape(-1, logits.shape[-1])).reshape(logits.shape)
+        return TeacherTable(self.checkpoint.epoch, probs)
+
+
+class TeacherTable(NamedTuple):
+    """One teacher selection, run once: its softmax at every training position."""
+
+    epoch: int         # the teacher's checkpoint epoch
+    probs: np.ndarray  # float64, (n, C) or (n, T, C) like the logits of the training split
+
+    def rows(self, idx, mask) -> np.ndarray:
+        """The prior rows of the batch of examples ``idx``, in ``flat_positions`` order."""
+        rows = self.probs[idx]
+        return rows if mask is None else rows[mask]
+
 
 class EpochLoss(NamedTuple):
     """One epoch's ``Method``, resolved before its first batch."""
 
-    mode: str                                 # the method trained; base_ce on a fallback epoch
-    prior: np.ndarray | TeacherHandle | None  # shared vector, a teacher, or None: the penalty
-    alpha: float | None                       # None: the adaptive, per-position weight
-    beta: float                               # the confidence penalty's weight
+    mode: str                                # the method trained; base_ce on a fallback epoch
+    prior: np.ndarray | TeacherTable | None  # shared vector or batch rows, a teacher, or None
+    alpha: float | None                      # None: the adaptive, per-position weight
+    beta: float                              # the confidence penalty's weight
 
 
 def epoch_loss(cfg: TrainConfig, epoch: int, n_classes: int, select_teacher,
                labels) -> EpochLoss:
     """Resolve ``cfg.method`` at ``epoch`` into the loss of all the epoch's batches.
 
-    ``select_teacher(epoch)`` gives the teacher and ``labels`` are the training
+    ``select_teacher(epoch)`` gives the teacher's prior and ``labels`` are the training
     labels of the unigram prior; only the methods that need them use them. The
     teacher methods need ``select_teacher`` after epoch 1.
     """
@@ -243,8 +273,10 @@ def forward_backward(model, params: np.ndarray, inputs: np.ndarray, targets: np.
                      loss: EpochLoss, mask: np.ndarray | None = None) -> BatchStats:
     """One batch: the epoch's loss and its backprop to parameters.
 
-    The analytic logit gradient of the loss is composed with the model's
-    layerwise chain rule; the batch reduction is the mean over non-pad positions.
+    ``loss.prior`` is a vector shared by every row, the batch's prior rows in
+    ``flat_positions`` order (``TeacherTable.rows``), or None: the penalty. The
+    analytic logit gradient of the loss is composed with the model's layerwise
+    chain rule; the batch reduction is the mean over non-pad positions.
     """
     logits, cache = model.forward(params, inputs)
     rows, y, keep = flat_positions(logits, targets, mask)
@@ -255,20 +287,17 @@ def forward_backward(model, params: np.ndarray, inputs: np.ndarray, targets: np.
     logs = floored_log(probs)
 
     alphas = alpha_rows(probs, logs) if loss.alpha is None else np.full(n_kept, loss.alpha)
-    prior = loss.prior
-    if prior is None:
+    if loss.prior is None:
         totals, grad_rows = confidence_penalty_rows(probs, logs, y, loss.beta)
     else:
-        if isinstance(prior, TeacherHandle):
-            prior = softmax_rows(flat_positions(prior.logits(inputs), targets, mask)[0])
-        _, _, totals, grad_rows = mixture_loss_rows(probs, logs, y, prior, alphas)
+        _, _, totals, grad_rows = mixture_loss_rows(probs, logs, y, loss.prior, alphas)
 
     dlogits = grad_rows / n_kept
     if keep is not None:  # pad positions get zero gradient
         dlogits, kept = np.zeros_like(logits), dlogits
         dlogits.reshape(keep.size, -1)[keep] = kept
     flat_grad = model.backward(params, cache, dlogits.reshape(logits.shape))
-    return BatchStats(float(totals.mean()), alphas, flat_grad)
+    return BatchStats(float(totals.sum() / n_kept), alphas, flat_grad)
 
 
 def learning_rate_at(step: int, base: float, warmup_steps: int) -> float:
@@ -294,6 +323,7 @@ class TrainState:
     step: int             # optimizer steps taken, which set the learning rate
     batch_rng: np.random.Generator
     diagnostics: list[EpochDiagnostics] = field(default_factory=list)
+    teacher: TeacherTable | None = None  # the last teacher selected, kept while it stays selected
 
     @property
     def epoch(self) -> int:
@@ -313,18 +343,29 @@ class TrainState:
         return cls(model, registry, params, np.zeros_like(params), 0,
                    np.random.default_rng(np.random.SeedSequence([cfg.seed, 1])))
 
+    def _teacher_table(self, epoch: int, inputs, batch_size: int) -> TeacherTable:
+        """The table of the teacher selected for ``epoch``, built only when the selection changes."""
+        record = self.registry.select_teacher(epoch)
+        if self.teacher is None or self.teacher.epoch != record.epoch:
+            self.teacher = None  # the old table is freed before the new one is filled
+            self.teacher = TeacherHandle(record, self.model).probs_table(inputs, batch_size)
+        return self.teacher
+
     def advance(self, cfg: TrainConfig, splits: DataSplits) -> None:
         """Train one epoch, then validate it and checkpoint it for later teacher selection."""
         epoch = self.epoch + 1
         inputs, targets, mask = splits.train.inputs, splits.train.targets, splits.train.mask
         loss = epoch_loss(cfg, epoch, self.model.n_classes,
-                          lambda e: TeacherHandle(self.registry.select_teacher(e), self.model),
+                          lambda e: self._teacher_table(e, inputs, cfg.batch_size),
                           targets if mask is None else targets[mask])
+        table = loss.prior if isinstance(loss.prior, TeacherTable) else None
         losses, grad_norms, alpha_chunks = [], [], []
         for batch_index, idx in enumerate(batch_indices(len(inputs), cfg.batch_size,
                                                         self.batch_rng)):
-            stats = forward_backward(self.model, self.params, inputs[idx], targets[idx], loss,
-                                     None if mask is None else mask[idx])
+            batch_mask = None if mask is None else mask[idx]
+            batch_loss = loss if table is None else loss._replace(prior=table.rows(idx, batch_mask))
+            stats = forward_backward(self.model, self.params, inputs[idx], targets[idx],
+                                     batch_loss, batch_mask)
             if not math.isfinite(stats.loss):
                 raise DivergenceError(epoch, batch_index)
             self.step += 1
@@ -344,8 +385,7 @@ class TrainState:
         self.diagnostics.append(EpochDiagnostics(
             epoch=epoch,
             loss_mode=loss.mode,
-            teacher_epoch=(loss.prior.checkpoint.epoch if isinstance(loss.prior, TeacherHandle)
-                           else None),
+            teacher_epoch=None if table is None else table.epoch,
             mean_alpha=float(alphas.mean()),
             alpha_std=float(alphas.std()),
             mean_grad_norm=float(np.mean(grad_norms)),
@@ -400,7 +440,7 @@ def evaluate(model, params: np.ndarray, split: Split) -> EvalResult:
         nll=mean_nll(probs, y),
         mini_bleu=None if mask is None else corpus_bleu(np.concatenate([pred, y]),
                                                         np.tile(mask.sum(axis=1), 2)),
-        confidences=probs.max(axis=-1),
+        confidences=np.maximum.reduce(probs.T.copy(), axis=0),  # row max, as softmax_rows takes it
         corrects=pred == y,
     )
 

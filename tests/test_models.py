@@ -232,7 +232,7 @@ DESK_SIZES = (12, 8, 32)  # configs/sequence.ini: vocab, embed, hidden
 class TestStackedRecurrence:
     """Production ``forward``/``backward`` against the per-step oracle."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, print_blob=True)
     @given(st.builds(rnn_batch,
                      st.sampled_from([DESK_SIZES, (12, 8, 16), (7, 4, 6), (3, 2, 5)]),
                      st.sampled_from([np.float32, np.float64]),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alskd.probs import (
@@ -145,3 +145,21 @@ class TestRowHelpers:
             np.testing.assert_array_equal(p[i], softmax(z[i]))
             assert entropy_rows(p, logs)[i] == pytest.approx(entropy(p[i]), abs=1e-12)
             assert alpha_rows(p, logs)[i] == pytest.approx(adaptive_alpha(p[i]), abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 1300), st.integers(2, 12), st.integers(0, 2**32 - 1))
+    @example(1, 2, 0)
+    @example(1300, 12, 1)
+    def test_row_max_matches_the_keepdims_form(self, n, c, seed):
+        """``softmax_rows`` equals the ``z.max(axis=-1, keepdims=True)`` form by bytes,
+        also on rows whose maximum is a +0.0/-0.0 pair."""
+        rng = np.random.default_rng(seed)
+        z = rng.normal(0.0, 4.0, size=(n, c))
+        signed = rng.random(n) < 0.25  # rows whose maximum is a +0.0/-0.0 pair, either order
+        z[signed] = -np.abs(z[signed])
+        plus_first = rng.random(int(signed.sum())) < 0.5
+        z[signed, 0], z[signed, -1] = np.where(plus_first, 0.0, -0.0), np.where(plus_first, -0.0, 0.0)
+        assert not np.any(np.signbit(z[signed, 0]) == np.signbit(z[signed, -1]))
+        for rows in (z, z[:, ::-1]):
+            e = np.exp(rows - rows.max(axis=-1, keepdims=True))
+            assert softmax_rows(rows).tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()

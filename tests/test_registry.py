@@ -12,6 +12,7 @@ from alskd import artifacts as artifacts_module
 from alskd import registry as registry_module
 from alskd.data import PAD_ID, Split
 from alskd.models import MLPClassifier
+from alskd.probs import softmax_rows
 from alskd.registry import (
     CheckpointRegistry,
     CorruptCheckpointError,
@@ -281,13 +282,19 @@ class TestTeacherSelection:
             record.params[0] = 1.0
 
     def test_handle_forward(self, registry, rng):
-        """A selected checkpoint, run by its model, gives the model's own logits."""
+        """A selected checkpoint, run by its model, gives the model's own logits, and
+        its table holds their softmax, one chunk of ``batch_size`` rows at a time."""
         model = MLPClassifier(4, 5, 3)
         registry.store(model.init_params(3), 1, 0.5, "accuracy")
         record = registry.select_teacher(2)
         x = rng.normal(size=(5, 4)).astype(np.float32)
-        logits = TeacherHandle(record, model).logits(x)
+        handle = TeacherHandle(record, model)
+        logits = handle.logits(x)
         assert logits.tobytes() == model.forward(record.params, x)[0].tobytes()
+        table = handle.probs_table(x, 2)
+        chunks = [softmax_rows(handle.logits(x[i:i + 2])) for i in (0, 2, 4)]
+        assert table.epoch == 1
+        assert table.probs.tobytes() == np.concatenate(chunks).tobytes()
 
 
 class TestEvaluateG:

@@ -23,6 +23,7 @@ from alskd.trainer import (
     EpochLoss,
     ModelConfig,
     TeacherHandle,
+    TeacherTable,
     TrainConfig,
     TrainState,
     epoch_loss,
@@ -51,8 +52,14 @@ def tiny_train_cfg(method, seed=0, epochs=4, **kw):
     return TrainConfig(method=method, **defaults)
 
 
+def teacher_rows(handle, x, y, mask=None):
+    """The teacher's prior rows for one batch, computed from that batch alone."""
+    return softmax_rows(flat_positions(handle.logits(x), y, mask)[0])
+
+
 def batch_loss(method, epoch=1, teacher=None, labels=None, n_classes=4, **kw):
-    """The resolved loss of ``method`` at ``epoch``, with ``teacher`` as every epoch's teacher."""
+    """The resolved loss of ``method`` at ``epoch``, with ``teacher`` (a batch's
+    ``teacher_rows``) as every epoch's teacher prior."""
     return epoch_loss(tiny_train_cfg(method, **kw), epoch, n_classes,
                       None if teacher is None else lambda e: teacher, labels)
 
@@ -154,6 +161,64 @@ class TestTeacherLifecycle:
         np.testing.assert_array_equal(handle.checkpoint.params, teacher_params_before)
 
 
+class TestTeacherTable:
+    @pytest.mark.parametrize("config, last", [("classification.ini", 28), ("sequence.ini", 24)])
+    def test_batch_rows_equal_the_batch_forward(self, config, last):
+        """At each config's shapes, over two shuffled epochs, every batch's rows of the
+        table equal by bytes the teacher's softmax from a forward of that batch alone."""
+        cfg = load_config(Path(__file__).parents[1] / "configs" / config)
+        model = build_model(cfg.model)
+        train_split = make_task_data(cfg.model, cfg.data, 0).train
+        handle = TeacherHandle(CheckpointRecord(4, model.init_params(1) * 8, 0.0, "accuracy"),
+                               model)
+        table = handle.probs_table(train_split.inputs, cfg.train.batch_size)
+        assert table.epoch == 4
+        rng = np.random.default_rng(5)
+        for _ in range(2):
+            sizes = []
+            for idx in batch_indices(len(train_split), cfg.train.batch_size, rng):
+                mask = None if train_split.mask is None else train_split.mask[idx]
+                want = teacher_rows(handle, train_split.inputs[idx], train_split.targets[idx], mask)
+                assert table.rows(idx, mask).tobytes() == want.tobytes()
+                sizes.append(len(idx))
+            assert set(sizes[:-1]) == {cfg.train.batch_size} and sizes[-1] == last
+
+    def test_the_teacher_runs_once_per_selection(self, tmp_path, monkeypatch):
+        calls = []
+        logits = TeacherHandle.logits
+
+        def counting(self, inputs):
+            calls.append((self.checkpoint.epoch, len(inputs)))
+            return logits(self, inputs)
+
+        monkeypatch.setattr(TeacherHandle, "logits", counting)
+        cfg, splits = tiny_splits()
+        r = train(cfg, tiny_train_cfg("adaptive_skd", epochs=8), splits, tmp_path / "run")
+        teachers = [d.teacher_epoch for d in r.diagnostics[1:]]
+        assert teachers == [r.registry.select_teacher(e).epoch for e in range(2, 9)]
+        assert len(set(teachers)) < len(teachers)  # some selections repeat
+        # 120 training rows in batches of 32: four chunks per table build
+        assert calls == [(e, n) for e in sorted(set(teachers)) for n in (32, 32, 32, 24)]
+
+    @pytest.mark.parametrize("task", ["classification", "seq_transduction"])
+    def test_a_run_equals_one_whose_teacher_runs_every_batch(self, tmp_path, monkeypatch, task):
+        cfg, splits = tiny_splits(task=task)
+        cfg_t = tiny_train_cfg("adaptive_skd", epochs=6,
+                               g_kind="accuracy" if task == "classification" else "mini_bleu")
+        expected = train(cfg, cfg_t, splits, tmp_path / "table")
+        model, train_split = build_model(cfg), splits.train
+
+        def per_batch(table, idx, mask):
+            record = read_checkpoint(tmp_path / "per_batch" / f"epoch_{table.epoch:05d}.ckpt")
+            return teacher_rows(TeacherHandle(record, model), train_split.inputs[idx],
+                                train_split.targets[idx], mask)
+
+        monkeypatch.setattr(TeacherTable, "rows", per_batch)
+        got = train(cfg, cfg_t, splits, tmp_path / "per_batch")
+        assert got.params.tobytes() == expected.params.tobytes()
+        assert got.diagnostics == expected.diagnostics
+
+
 class TestEpochLoss:
     # method -> (prior, alpha) at epoch 2 with fixed_alpha 0.3, max_alpha 0.5 and 4 epochs;
     # the teacher methods train base_ce at epoch 1
@@ -170,16 +235,16 @@ class TestEpochLoss:
 
     @pytest.mark.parametrize("method", list(METHODS))
     def test_every_method_at_epochs_one_and_two(self, method):
-        handle = TeacherHandle(CheckpointRecord(1, np.zeros(3), 0.5, "accuracy"), None)
+        table = TeacherTable(1, np.full((4, 4), 0.25))
         labels = np.array([0, 0, 1, 3])
         priors = {"uniform": np.full(4, 0.25), "unigram": np.array([3, 2, 1, 2]) / 8,
-                  "teacher": handle, None: None}
+                  "teacher": table, None: None}
         cfg = tiny_train_cfg(method, fixed_alpha=0.3, max_alpha=0.5, beta=0.6)
         selected = []
 
         def select_teacher(epoch):
             selected.append(epoch)
-            return handle
+            return table
 
         prior, alpha = self.TABLE[method]
         first = ("base_ce", "uniform", 0.0) if prior == "teacher" else (method, prior, alpha)
@@ -221,6 +286,7 @@ class TestForwardBackward:
                                 model)
         z, targets, _ = flat_positions(model.forward(params, x)[0], y, mask)
         z_t = flat_positions(teacher.logits(x), y, mask)[0]
+        prior = teacher_rows(teacher, x, y, mask)
         a, c = cfg.train.fixed_alpha, model.n_classes
         per_sample = {
             "adaptive_skd": lambda i: adaptive_skd_loss(z[i], z_t[i], targets[i]),
@@ -229,7 +295,7 @@ class TestForwardBackward:
         }
         for method, loss_of in per_sample.items():
             loss = epoch_loss(dataclasses.replace(cfg.train, method=method), 2, c,
-                              lambda epoch: teacher, train_split.targets)
+                              lambda epoch: prior, train_split.targets)
             stats = forward_backward(model, params, x, y, loss, mask)
             rows = [loss_of(i)[0] for i in range(targets.size)]
             assert stats.loss == np.mean([row.total for row in rows])
@@ -247,7 +313,7 @@ class TestForwardBackward:
         handle = TeacherHandle(CheckpointRecord(1, frozen, 0.0, "accuracy"), model)
         alpha = 0.4
         skd = forward_backward(model, params, x, y, batch_loss(
-            "fixed_alpha_skd", epoch=2, teacher=handle, fixed_alpha=alpha))
+            "fixed_alpha_skd", epoch=2, teacher=teacher_rows(handle, x, y), fixed_alpha=alpha))
         ce = forward_backward(model, params, x, y, batch_loss("base_ce"))
         np.testing.assert_allclose(skd.grad, (1 - alpha) * ce.grad, atol=1e-6)
 
@@ -277,7 +343,7 @@ class TestForwardBackward:
                        "adaptive_skd", "fixed_alpha_skd", "adaptive_alpha_uniform",
                        "linear_alpha_skd"):
             stats = forward_backward(model, params, x, y, batch_loss(
-                method, epoch=2, teacher=handle, labels=splits.train.targets))
+                method, epoch=2, teacher=teacher_rows(handle, x, y), labels=splits.train.targets))
             assert np.isfinite(stats.loss)
             assert np.all((stats.alphas >= 0) & (stats.alphas <= 1))
 
@@ -291,7 +357,8 @@ class TestForwardBackward:
         teacher_params.flags.writeable = False
         handle = TeacherHandle(CheckpointRecord(1, teacher_params, 0.0, "accuracy"), model)
         x, y = splits.train.inputs[:24], splits.train.targets[:24]
-        loss = batch_loss(method, epoch=2, teacher=handle, labels=y, n_classes=model.n_classes)
+        loss = batch_loss(method, epoch=2, teacher=teacher_rows(handle, x, y), labels=y,
+                          n_classes=model.n_classes)
         bare = forward_backward(model, params, x, y, loss)
         masked = forward_backward(model, params, x, y, loss, mask=np.ones(y.shape, bool))
         assert bare.loss == masked.loss
