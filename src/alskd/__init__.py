@@ -11,6 +11,7 @@ from .calibration import (
     CalibrationReport,
     calibration_report,
 )
+from .config import DataConfig, ModelConfig, TrainConfig
 from .gradlab import (
     FlipCensus,
     GradientReport,
@@ -40,12 +41,9 @@ from .registry import (
     NoTeacherError,
 )
 from .trainer import (
-    DataConfig,
     DivergenceError,
     EpochDiagnostics,
-    ModelConfig,
     TeacherHandle,
-    TrainConfig,
     evaluate,
     forward_backward,
     make_task_data,

@@ -7,7 +7,7 @@ with its first file, so a run refused before its first write leaves nothing
 on disk. Relative output paths resolve under ``ALSKD_OUTPUT_ROOT`` when it
 is set. ``main`` alone maps a failure to its exit code, by class: 0 success,
 2 a ``ConfigError`` (always before the first write), 4 an ``OSError``, 3 any
-other exception, named by its class.
+other exception, named by its class and the file and line that raised it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .artifacts import write_csv, write_json
 from .calibration import calibration_report, write_reliability_csv
-from .config import RunConfig, entry_name, load_config
+from .config import ConfigError, RunConfig, entry_name, load_config
 from .gradlab import (
     flip_region_census,
     proposition1_validate,
@@ -28,7 +28,7 @@ from .gradlab import (
     write_proposition_csv,
     write_ratios_csv,
 )
-from .trainer import ConfigError, evaluate, make_task_data, train, write_diagnostics_csv
+from .trainer import evaluate, make_task_data, train, write_diagnostics_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -238,7 +238,10 @@ def main(argv=None) -> int:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
     except Exception as exc:
-        print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        from traceback import walk_tb  # on failure only: a success never pays its import
+        *_, (frame, line) = walk_tb(exc.__traceback__)  # the innermost frame, where it was raised
+        print(f"run failed: {type(exc).__name__}: {exc} "
+              f"at {Path(frame.f_code.co_filename).name}:{line}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

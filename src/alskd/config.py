@@ -12,17 +12,142 @@ The keys are the fields of ``ModelConfig``, ``DataConfig`` and
 field's default, and is checked by the dataclass, whose errors are reported
 under the INI key. Only ``method.ablation_methods`` and ``paths.output_dir``
 are not fields of a run.
+
+This module owns the run schema (those dataclasses, ``ConfigError``, ``METHODS``
+and ``check_g_kind``); its one import from the package is ``registry.G_KINDS``.
 """
 
 from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import MISSING, asdict, dataclass, fields
+import math
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
+from typing import ClassVar, NamedTuple
 
-from .trainer import ConfigError, DataConfig, ModelConfig, TrainConfig, check_g_kind
+from .registry import G_KINDS
+
+
+class ConfigError(ValueError):
+    """An invalid or unknown configuration value, with the offending field."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message if field is None else f"{field}: {message}")
+        self.message = message
+        self.field = field
+
+
+def _check(cfg, rule: str, ok, *names: str) -> None:
+    """Refuse the first field of ``names`` whose value fails ``ok``, naming that field."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not ok(value):
+            raise ConfigError(f"{rule}, got {value!r}", field=name)
+
+
+def _ini(path: str, default=MISSING):
+    """A field read from the INI key ``path`` ("section.key"), not ``SECTION.<field>``."""
+    return field(default=default, metadata={"ini": path})
+
+
+class Method(NamedTuple):
+    """Cross entropy against ``(1-alpha) * onehot + alpha * prior``, as data.
+
+    ``prior``: ``uniform``, ``unigram``, ``teacher`` (a past checkpoint of
+    the same model) or None (the confidence penalty, which has no mixture).
+    ``alpha``: ``zero``, ``fixed``, ``adaptive`` (per position) or ``linear``.
+    """
+
+    prior: str | None
+    alpha: str
+
+
+METHODS = {
+    "base_ce": Method("uniform", "zero"),
+    "uniform_ls": Method("uniform", "fixed"),
+    "unigram_ls": Method("unigram", "fixed"),
+    "conf_penalty": Method(None, "zero"),
+    "adaptive_skd": Method("teacher", "adaptive"),
+    "fixed_alpha_skd": Method("teacher", "fixed"),
+    "adaptive_alpha_uniform": Method("uniform", "adaptive"),
+    "linear_alpha_skd": Method("teacher", "linear"),
+}
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    SECTION: ClassVar[str] = "model"
+
+    task: str = "classification"
+    n_classes: int = _ini("model.classes", 10)
+    input_dim: int = 16
+    hidden: int = 64
+    vocab: int = 12
+    embed: int = 8
+
+    def __post_init__(self):
+        _check(self, "must be classification or seq_transduction",
+               lambda task: task in ("classification", "seq_transduction"), "task")
+        _check(self, "must be >= 2", lambda n: n >= 2, "n_classes")
+        _check(self, "must be positive", lambda n: n >= 1, "input_dim", "hidden", "embed")
+        _check(self, "must be >= 3 (a pad id and two symbols)", lambda n: n >= 3, "vocab")
+
+
+@dataclass(frozen=True)
+class DataConfig:
+    """The synthetic dataset that ``make_task_data`` draws for a model."""
+
+    SECTION: ClassVar[str] = "model"
+
+    train_size: int = 1500
+    val_size: int = 500
+    test_size: int = 2000
+    label_noise: float = 0.15
+    separation: float = 0.6
+    min_len: int = 4
+    max_len: int = 9
+
+    def __post_init__(self):
+        _check(self, "must be positive", lambda n: n >= 1,
+               "train_size", "val_size", "test_size", "min_len")
+        _check(self, f"must be <= max_len ({self.max_len})", lambda n: n <= self.max_len, "min_len")
+        _check(self, "label_noise must lie in [0, 1)", lambda p: 0.0 <= p < 1.0, "label_noise")
+        _check(self, "must be finite and non-negative", lambda s: 0.0 <= s < math.inf, "separation")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    SECTION: ClassVar[str] = "training"
+
+    method: str = _ini("method.name")
+    g_kind: str = _ini("method.g_kind", "accuracy")
+    epochs: int = 30
+    batch_size: int = 64
+    learning_rate: float = 0.35
+    warmup_steps: int = 300
+    momentum: float = 0.9
+    seed: int = 0
+    fixed_alpha: float = _ini("method.fixed_alpha", 0.1)
+    beta: float = _ini("method.beta", 0.78)
+    max_alpha: float = _ini("method.max_alpha", 0.7)
+
+    def __post_init__(self):
+        _check(self, f"must be one of {tuple(METHODS)}", METHODS.__contains__, "method")
+        _check(self, f"must be one of {G_KINDS}", G_KINDS.__contains__, "g_kind")
+        _check(self, "must be positive", lambda n: n >= 1, "epochs", "batch_size")
+        _check(self, "must lie in [0, 1]", lambda a: 0.0 <= a <= 1.0, "fixed_alpha", "max_alpha")
+        _check(self, "must be non-negative", lambda n: n >= 0, "warmup_steps", "seed")
+        _check(self, "must be finite and positive", lambda r: 0.0 < r < math.inf, "learning_rate")
+        _check(self, "must lie in [0, 1)", lambda m: 0.0 <= m < 1.0, "momentum")
+        _check(self, "must be finite and non-negative", lambda b: 0.0 <= b < math.inf, "beta")
+
+
+def check_g_kind(model_cfg: ModelConfig, cfg: TrainConfig) -> None:
+    """Refuse a validation metric that the task cannot score."""
+    if cfg.g_kind == "mini_bleu" and model_cfg.task != "seq_transduction":
+        raise ConfigError("mini_bleu requires a sequence task", field="g_kind")
 
 
 def _parse_str_list(text: str) -> list[str]:

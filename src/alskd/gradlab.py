@@ -27,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .artifacts import write_csv
+from .config import ConfigError
 from .losses import _check_label, mixture_loss_rows
 from .probs import (
     alpha_from_entropy,
@@ -36,7 +37,6 @@ from .probs import (
     softmax,
     softmax_rows,
 )
-from .trainer import ConfigError
 
 
 class SamplingExhaustedError(RuntimeError):

@@ -14,6 +14,7 @@ from conftest import central_difference, rel_error
 
 from alskd.calibration import calibration_report
 from alskd.cli import EXIT_OK, main
+from alskd.config import DataConfig, ModelConfig, TrainConfig
 from alskd.gradlab import proposition1_validate, ratio_consistency_check
 from alskd.losses import (
     adaptive_skd_loss,
@@ -25,7 +26,7 @@ from alskd.losses import (
     unigram_prior,
 )
 from alskd.registry import CheckpointRegistry, read_checkpoint, write_checkpoint
-from alskd.trainer import DataConfig, ModelConfig, TrainConfig, evaluate, make_task_data, train
+from alskd.trainer import evaluate, make_task_data, train
 
 SEEDS = (0, 3333, 5555)
 

@@ -161,7 +161,8 @@ class TestTrainCommand:
         monkeypatch.setattr(cli, "make_task_data", missing)
         assert main(["train", "--config", str(tiny_config),
                      "--output", str(tmp_path / "o")]) == EXIT_RUNTIME
-        assert "run failed: KeyError: 'no such split'" in capsys.readouterr().err
+        raised_at = f"test_cli.py:{missing.__code__.co_firstlineno + 1}"  # its raise line
+        assert f"run failed: KeyError: 'no such split' at {raised_at}" in capsys.readouterr().err
 
     def test_a_closed_stdout_is_an_io_failure_after_every_artifact(self, tiny_config, tmp_path,
                                                                    monkeypatch, capsys):

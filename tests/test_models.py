@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from alskd import trainer
 from alskd.cli import RunDir, run_training
-from alskd.config import load_config
+from alskd.config import ModelConfig, load_config
 from alskd.losses import mixture_loss_rows
 from alskd.models import MLPClassifier, RecurrentTransducer, build_model
 from alskd.probs import floored_log, softmax_rows
-from alskd.trainer import ModelConfig
 
 
 def batch_ce_rows(model, params, inputs, targets, mask=None):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from alskd import artifacts as artifacts_module
 from alskd import registry as registry_module
+from alskd.config import ModelConfig, TrainConfig
 from alskd.data import PAD_ID, Split
 from alskd.models import MLPClassifier
 from alskd.probs import softmax_rows
@@ -21,7 +22,7 @@ from alskd.registry import (
     read_checkpoint,
     write_checkpoint,
 )
-from alskd.trainer import ModelConfig, TeacherHandle, TrainConfig, TrainState, evaluate
+from alskd.trainer import TeacherHandle, TrainState, evaluate
 
 
 @pytest.fixture

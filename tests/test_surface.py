@@ -7,7 +7,7 @@ from pathlib import Path
 
 import alskd
 from alskd.cli import main
-from alskd.trainer import METHODS
+from alskd.config import METHODS
 
 PACKAGE = Path(alskd.__file__).parent
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

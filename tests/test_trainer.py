@@ -8,7 +8,7 @@ import pytest
 from conftest import central_difference, open_failing_on_write, rel_error
 
 from alskd import artifacts, trainer
-from alskd.config import load_config
+from alskd.config import METHODS, DataConfig, ModelConfig, TrainConfig, load_config
 from alskd.data import PAD_ID, batch_indices, flat_positions
 from alskd.losses import adaptive_skd_loss, kd_loss, label_smoothing_loss, uniform_prior
 from alskd.metrics import accuracy_score
@@ -16,15 +16,11 @@ from alskd.models import MLPClassifier, build_model
 from alskd.probs import adaptive_alpha, alpha_rows, floored_log, softmax, softmax_rows
 from alskd.registry import CheckpointRecord, read_checkpoint
 from alskd.trainer import (
-    METHODS,
-    DataConfig,
     DivergenceError,
     EpochDiagnostics,
     EpochLoss,
-    ModelConfig,
     TeacherHandle,
     TeacherTable,
-    TrainConfig,
     TrainState,
     epoch_loss,
     evaluate,
